@@ -22,52 +22,51 @@ let copy (sys : Vm_sys.t) ~src ~dst =
       ~dst:(dst.pfn + i)
   done
 
-let copy_in sys p ~off data =
+(* Apply [f frame ~foff ~pos ~chunk] to each hardware-frame run of the
+   page byte range [off, off+len); [pos] is the run's offset from [off]. *)
+let iter_frames sys p ~off ~len f =
   let hw = hw_size sys in
+  let rec loop pos =
+    if pos < len then begin
+      let abs = off + pos in
+      let foff = abs mod hw in
+      let chunk = min (hw - foff) (len - pos) in
+      f (p.pfn + (abs / hw)) ~foff ~pos ~chunk;
+      loop (pos + chunk)
+    end
+  in
+  loop 0
+
+let copy_in sys p ~off data =
   let len = Bytes.length data in
   if off < 0 || off + len > sys.Vm_sys.page_size then
     invalid_arg "Page_io.copy_in";
-  let rec loop pos =
-    if pos < len then begin
-      let abs = off + pos in
-      let frame = p.pfn + (abs / hw) in
-      let foff = abs mod hw in
-      let chunk = min (hw - foff) (len - pos) in
-      Phys_mem.write (phys sys) frame ~offset:foff (Bytes.sub data pos chunk);
-      loop (pos + chunk)
-    end
-  in
-  loop 0;
+  iter_frames sys p ~off ~len (fun frame ~foff ~pos ~chunk ->
+      Phys_mem.blit_in (phys sys) frame ~offset:foff ~src:data ~src_off:pos
+        ~len:chunk);
   charge_move sys len
 
 let copy_out sys p ~off ~len =
-  let hw = hw_size sys in
   if off < 0 || len < 0 || off + len > sys.Vm_sys.page_size then
     invalid_arg "Page_io.copy_out";
   let buf = Bytes.create len in
-  let rec loop pos =
-    if pos < len then begin
-      let abs = off + pos in
-      let frame = p.pfn + (abs / hw) in
-      let foff = abs mod hw in
-      let chunk = min (hw - foff) (len - pos) in
-      Bytes.blit
-        (Phys_mem.read (phys sys) frame ~offset:foff ~len:chunk)
-        0 buf pos chunk;
-      loop (pos + chunk)
-    end
-  in
-  loop 0;
+  iter_frames sys p ~off ~len (fun frame ~foff ~pos ~chunk ->
+      Phys_mem.blit_out (phys sys) frame ~offset:foff ~dst:buf ~dst_off:pos
+        ~len:chunk);
   charge_move sys len;
   buf
 
-let fill sys p data =
+let fill sys p ?(src_off = 0) data =
   let ps = sys.Vm_sys.page_size in
-  if Bytes.length data >= ps then copy_in sys p ~off:0 (Bytes.sub data 0 ps)
-  else begin
-    let b = Bytes.make ps '\000' in
-    Bytes.blit data 0 b 0 (Bytes.length data);
-    copy_in sys p ~off:0 b
-  end
+  let len = max 0 (min ps (Bytes.length data - src_off)) in
+  (* Only a short source leaves a tail to zero. *)
+  if len < ps then
+    for i = 0 to Resident.multiple sys.Vm_sys.resident - 1 do
+      Phys_mem.zero_frame (phys sys) (p.pfn + i)
+    done;
+  iter_frames sys p ~off:0 ~len (fun frame ~foff ~pos ~chunk ->
+      Phys_mem.blit_in (phys sys) frame ~offset:foff ~src:data
+        ~src_off:(src_off + pos) ~len:chunk);
+  charge_move sys ps
 
 let contents sys p = copy_out sys p ~off:0 ~len:sys.Vm_sys.page_size

@@ -5,9 +5,10 @@
     daemon, pagers and file I/O paths.  All charge the architecture's
     bulk-move cost. *)
 
-val fill : Vm_sys.t -> Types.page -> Bytes.t -> unit
-(** [fill sys p data] copies [data] into the page (zero padding any
-    tail). *)
+val fill : Vm_sys.t -> Types.page -> ?src_off:int -> Bytes.t -> unit
+(** [fill sys p ~src_off data] copies one page of [data] from [src_off]
+    (default 0) into the page, zero padding whatever lies past the end of
+    [data]. *)
 
 val contents : Vm_sys.t -> Types.page -> Bytes.t
 (** [contents sys p] is the whole page as bytes. *)

@@ -252,16 +252,17 @@ let single (sys : Vm_sys.t) obj ~offset =
   | `Error -> `Error
 
 (* Fill the [got] prefetch pages beyond the demand page from [data]
-   (page [i] of [data] is object offset [tail_off + i*ps]).  [inflight]
-   is the shared async transfer record, [None] on the synchronous path;
-   async pages stay busy until awaited.  Returns how many pages were
+   (the page at [data_off + i*ps] in [data] is object offset
+   [tail_off + i*ps]).  [inflight] is the shared async transfer record,
+   [None] on the synchronous path; async pages stay busy until awaited.  Returns how many pages were
    actually installed ([plan] skipped resident pages, but the demand
    grab may have run the reclaimer in between; re-check and never steal
    from the free target).  Allocation is raw [Resident.alloc] behind a
    hard [free_reserved] floor: prefetch must never wait, reclaim, OOM
    or dip into the reserve on behalf of speculation — pages that do not
    fit are simply dropped from the tail. *)
-let install_tail (sys : Vm_sys.t) obj ~tail_off ~got ~data ~inflight =
+let install_tail (sys : Vm_sys.t) obj ~tail_off ~got ~data ~data_off
+    ~inflight =
   let ps = sys.Vm_sys.page_size in
   let issued = ref 0 in
   let alloc_above_reserve ~off =
@@ -279,7 +280,7 @@ let install_tail (sys : Vm_sys.t) obj ~tail_off ~got ~data ~inflight =
       | Some p ->
         Resident.insert sys.Vm_sys.resident p ~obj ~offset:off;
         p.pg_busy <- true;
-        Page_io.fill sys p (Bytes.sub data (i * ps) ps);
+        Page_io.fill sys p ~src_off:(data_off + (i * ps)) data;
         (match inflight with
          | None -> p.pg_busy <- false
          | Some _ -> p.pg_inflight <- inflight);
@@ -312,12 +313,12 @@ let pagein_sync (sys : Vm_sys.t) obj st ~stream ~offset ~n =
     let demand = Vm_sys.grab_page ~color:(offset / ps) sys in
     Resident.insert sys.Vm_sys.resident demand ~obj ~offset;
     demand.pg_busy <- true;
-    Page_io.fill sys demand (Bytes.sub data 0 ps);
+    Page_io.fill sys demand data;
     demand.pg_busy <- false;
     let issued =
       if got > 1 then
         install_tail sys obj ~tail_off:(offset + ps) ~got:(got - 1)
-          ~data:(Bytes.sub data ps ((got - 1) * ps)) ~inflight:None
+          ~data ~data_off:ps ~inflight:None
       else 0
     in
     note_prefetch sys ~offset ~issued ~window:n;
@@ -366,7 +367,9 @@ let pagein_async (sys : Vm_sys.t) obj st ~stream ~offset ~n =
          Some { if_completion = completion; if_service = service;
                 if_waited = false }
        in
-       let issued = install_tail sys obj ~tail_off ~got ~data ~inflight in
+       let issued =
+         install_tail sys obj ~tail_off ~got ~data ~data_off:0 ~inflight
+       in
        finish ~got ~issued
      | Some _ -> `Data (demand, ps)
      | None ->
@@ -376,7 +379,8 @@ let pagein_async (sys : Vm_sys.t) obj st ~stream ~offset ~n =
         | `Data data when Bytes.length data >= ps ->
           let got = min (n - 1) (Bytes.length data / ps) in
           let issued =
-            install_tail sys obj ~tail_off ~got ~data ~inflight:None
+            install_tail sys obj ~tail_off ~got ~data ~data_off:0
+              ~inflight:None
           in
           finish ~got ~issued
         | `Data _ | `Error | `Absent -> `Data (demand, ps)))

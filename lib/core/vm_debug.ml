@@ -168,9 +168,23 @@ let check_pv sys =
   done;
   List.rev !errs
 
+(* Never-written frames all read through one shared zero image, so a
+   stray write to it would corrupt every one of them at once. *)
+let check_phys sys =
+  let errs = ref [] in
+  let phys = Machine.phys sys.Vm_sys.machine in
+  if not (Phys_mem.zero_image_intact phys) then
+    note errs "shared zero image holds non-zero bytes";
+  let materialized = Phys_mem.materialized_frames phys in
+  let present = List.length (Phys_mem.present_frames phys) in
+  if materialized > present then
+    note errs "%d frames materialized but only %d present" materialized
+      present;
+  List.rev !errs
+
 let check_all sys ~maps =
   List.concat_map (check_map sys) maps
-  @ check_resident sys @ check_pv sys
+  @ check_resident sys @ check_pv sys @ check_phys sys
 
 let pp_object sys ppf o =
   let rec chain ppf o =

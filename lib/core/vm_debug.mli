@@ -16,7 +16,9 @@
       belong to no object, and no freed frame retains a hardware
       mapping;
     - every hardware mapping recorded by the pv layer is confirmed by the
-      owning pmap's [pmap_extract]. *)
+      owning pmap's [pmap_extract];
+    - physical memory's shared zero image is still all zeros, and no more
+      frames own storage than are present. *)
 
 val check_map : Vm_sys.t -> Types.vmap -> string list
 (** [check_map sys m] is the list of invariant violations found in [m]
@@ -26,6 +28,11 @@ val check_map : Vm_sys.t -> Types.vmap -> string list
 val check_resident : Vm_sys.t -> string list
 (** [check_resident sys] checks the resident page table's queues and
     hash, and that free frames are unmapped. *)
+
+val check_phys : Vm_sys.t -> string list
+(** [check_phys sys] checks that the shared zero image of physical memory
+    is intact and that the materialized frames do not outnumber the
+    present ones. *)
 
 val check_all : Vm_sys.t -> maps:Types.vmap list -> string list
 (** [check_all sys ~maps] runs every check over the given root maps plus

@@ -142,12 +142,11 @@ let move sys task ~addr ~len ~f =
             let bufpos = done_ + (off - (addr mod ps)) in
             (match f with
              | `Out_of_task buf ->
-               Bytes.blit
-                 (Phys_mem.read phys frame ~offset:foff ~len:chunk)
-                 0 buf bufpos chunk
+               Phys_mem.blit_out phys frame ~offset:foff ~dst:buf
+                 ~dst_off:bufpos ~len:chunk
              | `Into_task buf ->
-               Phys_mem.write phys frame ~offset:foff
-                 (Bytes.sub buf bufpos chunk));
+               Phys_mem.blit_in phys frame ~offset:foff ~src:buf
+                 ~src_off:bufpos ~len:chunk);
             frames (off + chunk) (n - chunk)
           end
         in

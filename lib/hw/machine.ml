@@ -654,9 +654,8 @@ let read t ~cpu ~va ~len =
   let buf = Bytes.create len in
   iter_page_runs t ~va ~len (fun va off run ->
       let pfn = translate t ~cpu ~va ~write:false in
-      let page = t.arch.Arch.hw_page_size in
-      let data = Phys_mem.read t.phys pfn ~offset:(va mod page) ~len:run in
-      Bytes.blit data 0 buf off run;
+      Phys_mem.blit_out t.phys pfn ~offset:(va mod t.arch.Arch.hw_page_size)
+        ~dst:buf ~dst_off:off ~len:run;
       charge t ~cpu (move_cost t run));
   buf
 
@@ -664,9 +663,8 @@ let write t ~cpu ~va data =
   let len = Bytes.length data in
   iter_page_runs t ~va ~len (fun va off run ->
       let pfn = translate t ~cpu ~va ~write:true in
-      let page = t.arch.Arch.hw_page_size in
-      Phys_mem.write t.phys pfn ~offset:(va mod page)
-        (Bytes.sub data off run);
+      Phys_mem.blit_in t.phys pfn ~offset:(va mod t.arch.Arch.hw_page_size)
+        ~src:data ~src_off:off ~len:run;
       charge t ~cpu (move_cost t run))
 
 let read_byte t ~cpu ~va =

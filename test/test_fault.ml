@@ -59,6 +59,25 @@ let test_zero_fill_fresh_after_free () =
   Alcotest.(check char) "zeroed again" '\000'
     (Machine.read_byte machine ~cpu:0 ~va:b)
 
+(* Zero fill never costs host memory: only a frame the task writes gets
+   bytes of its own, and the physical-memory invariants hold. *)
+let test_zero_fill_is_lazy () =
+  let machine, kernel, sys = boot () in
+  let phys = Machine.phys machine in
+  let t = new_task kernel ~cpu:0 in
+  let a = alloc sys t (16 * kb) in
+  let before = Phys_mem.materialized_frames phys in
+  for i = 0 to 15 do
+    ignore (Machine.read_byte machine ~cpu:0 ~va:(a + (i * kb)))
+  done;
+  Alcotest.(check int) "zero-filled reads own no storage" before
+    (Phys_mem.materialized_frames phys);
+  write_str machine ~cpu:0 ~va:(a + kb) "x";
+  Alcotest.(check int) "one write, one frame" (before + 1)
+    (Phys_mem.materialized_frames phys);
+  Alcotest.(check (list string)) "phys invariants" []
+    (Vm_debug.check_phys sys)
+
 let test_unallocated_faults () =
   let machine, kernel, _sys = boot () in
   let t = new_task kernel ~cpu:0 in
@@ -500,6 +519,8 @@ let () =
         [ Alcotest.test_case "demand zero" `Quick test_demand_zero;
           Alcotest.test_case "zero after free" `Quick
             test_zero_fill_fresh_after_free;
+          Alcotest.test_case "zero fill is lazy" `Quick
+            test_zero_fill_is_lazy;
           Alcotest.test_case "unallocated faults" `Quick
             test_unallocated_faults;
           Alcotest.test_case "data spans hw frames" `Quick

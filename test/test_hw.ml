@@ -95,6 +95,88 @@ let test_phys_bad_page_size () =
     (Invalid_argument "Phys_mem.create: page size must be a power of two")
     (fun () -> ignore (Phys_mem.create ~page_size:100 ~frames:2 ()))
 
+let test_phys_lazy_reads () =
+  let m = Phys_mem.create ~page_size:64 ~frames:4 () in
+  let materialized = Phys_mem.materialized_frames in
+  Alcotest.(check string) "never written reads zeros" (String.make 8 '\000')
+    (Bytes.to_string (Phys_mem.read m 2 ~offset:10 ~len:8));
+  Alcotest.(check char) "byte is zero" '\000'
+    (Phys_mem.read_byte m 2 ~offset:63);
+  let buf = Bytes.make 6 'x' in
+  Phys_mem.blit_out m 2 ~offset:0 ~dst:buf ~dst_off:2 ~len:4;
+  Alcotest.(check string) "blit_out zeros" "xx\000\000\000\000"
+    (Bytes.to_string buf);
+  Phys_mem.zero_frame m 2;
+  Phys_mem.copy_frame m ~src:1 ~dst:2;
+  Alcotest.(check bool) "equal zero frames" true (Phys_mem.frame_equal m 1 2);
+  Alcotest.(check int) "reads, zero and copy materialize nothing" 0
+    (materialized m);
+  Phys_mem.write_byte m 3 ~offset:5 'q';
+  Alcotest.(check int) "one write, one frame" 1 (materialized m);
+  Phys_mem.write m 3 ~offset:0 (Bytes.of_string "ab");
+  Phys_mem.zero_frame m 3;
+  Alcotest.(check int) "zeroing keeps the storage" 1 (materialized m);
+  Alcotest.(check bool) "zeroed in place" true (Phys_mem.frame_equal m 3 0);
+  Alcotest.(check bool) "zero image intact" true
+    (Phys_mem.zero_image_intact m)
+
+let test_phys_copy_from_zero () =
+  let m = Phys_mem.create ~page_size:64 ~frames:3 () in
+  Phys_mem.write m 1 ~offset:0 (Bytes.make 64 'z');
+  Phys_mem.copy_frame m ~src:0 ~dst:1;
+  Alcotest.(check bool) "destination zeroed" true (Phys_mem.frame_equal m 0 1);
+  Phys_mem.blit_in m 2 ~offset:4 ~src:(Bytes.of_string "hello") ~src_off:1
+    ~len:3;
+  Alcotest.(check string) "blit_in lands at offset" "\000ell\000"
+    (Bytes.to_string (Phys_mem.read m 2 ~offset:3 ~len:5));
+  Alcotest.(check int) "two frames written" 2
+    (Phys_mem.materialized_frames m);
+  Alcotest.(check bool) "zero image intact" true
+    (Phys_mem.zero_image_intact m)
+
+let test_phys_holes_every_accessor () =
+  let m = Phys_mem.create ~page_size:64 ~frames:4 ~holes:[ (2, 2) ] () in
+  let buf = Bytes.create 8 in
+  let absent name f =
+    Alcotest.check_raises name
+      (Invalid_argument "Phys_mem: access to absent frame") f
+  in
+  absent "read" (fun () -> ignore (Phys_mem.read m 2 ~offset:0 ~len:1));
+  absent "write" (fun () -> Phys_mem.write m 2 ~offset:0 buf);
+  absent "read_byte" (fun () -> ignore (Phys_mem.read_byte m 2 ~offset:0));
+  absent "write_byte" (fun () -> Phys_mem.write_byte m 2 ~offset:0 'a');
+  absent "blit_in" (fun () ->
+      Phys_mem.blit_in m 2 ~offset:0 ~src:buf ~src_off:0 ~len:8);
+  absent "blit_out" (fun () ->
+      Phys_mem.blit_out m 2 ~offset:0 ~dst:buf ~dst_off:0 ~len:8);
+  absent "zero_frame" (fun () -> Phys_mem.zero_frame m 2);
+  absent "copy_frame src" (fun () -> Phys_mem.copy_frame m ~src:2 ~dst:0);
+  absent "copy_frame dst" (fun () -> Phys_mem.copy_frame m ~src:0 ~dst:2);
+  absent "frame_equal" (fun () -> ignore (Phys_mem.frame_equal m 0 2));
+  Alcotest.(check int) "nothing materialized" 0
+    (Phys_mem.materialized_frames m)
+
+let test_phys_blit_bounds () =
+  let m = Phys_mem.create ~page_size:64 ~frames:2 () in
+  let buf = Bytes.create 16 in
+  let raises name msg f = Alcotest.check_raises name (Invalid_argument msg) f in
+  raises "blit_in past frame end" "Phys_mem.blit_in: out of frame" (fun () ->
+      Phys_mem.blit_in m 0 ~offset:60 ~src:buf ~src_off:0 ~len:8);
+  raises "blit_in negative offset" "Phys_mem.blit_in: out of frame"
+    (fun () -> Phys_mem.blit_in m 0 ~offset:(-1) ~src:buf ~src_off:0 ~len:1);
+  raises "blit_in past source end" "Phys_mem.blit_in: out of buffer"
+    (fun () -> Phys_mem.blit_in m 0 ~offset:0 ~src:buf ~src_off:12 ~len:8);
+  raises "blit_out past frame end" "Phys_mem.blit_out: out of frame"
+    (fun () -> Phys_mem.blit_out m 1 ~offset:0 ~dst:buf ~dst_off:0 ~len:65);
+  raises "blit_out negative length" "Phys_mem.blit_out: out of frame"
+    (fun () -> Phys_mem.blit_out m 1 ~offset:0 ~dst:buf ~dst_off:0 ~len:(-1));
+  raises "blit_out past buffer end" "Phys_mem.blit_out: out of buffer"
+    (fun () -> Phys_mem.blit_out m 1 ~offset:0 ~dst:buf ~dst_off:(-1) ~len:4);
+  raises "write_byte past frame end" "Phys_mem.write_byte: out of frame"
+    (fun () -> Phys_mem.write_byte m 0 ~offset:64 'a');
+  Alcotest.(check int) "rejected writes materialize nothing" 0
+    (Phys_mem.materialized_frames m)
+
 (* ---- Tlb ----------------------------------------------------------------- *)
 
 let entry ~asid ~vpn ~pfn = { Tlb.asid; vpn; pfn; prot = Prot.read_write }
@@ -387,7 +469,12 @@ let () =
           Alcotest.test_case "zero/copy frames" `Quick test_phys_zero_copy;
           Alcotest.test_case "holes" `Quick test_phys_holes;
           Alcotest.test_case "bounds" `Quick test_phys_bounds;
-          Alcotest.test_case "bad page size" `Quick test_phys_bad_page_size ]
+          Alcotest.test_case "bad page size" `Quick test_phys_bad_page_size;
+          Alcotest.test_case "lazy reads" `Quick test_phys_lazy_reads;
+          Alcotest.test_case "copy from zero" `Quick test_phys_copy_from_zero;
+          Alcotest.test_case "holes on every accessor" `Quick
+            test_phys_holes_every_accessor;
+          Alcotest.test_case "blit bounds" `Quick test_phys_blit_bounds ]
       );
       ( "tlb",
         [ Alcotest.test_case "hit/miss" `Quick test_tlb_hit_miss;

@@ -81,6 +81,84 @@ let page_io_fill_pads =
        || (Bytes.to_string (Bytes.sub whole 0 (String.length s)) = s
            && Bytes.get whole (String.length s) = '\000'))
 
+let page_io_fill_offset =
+  let open QCheck2 in
+  Test.make ~name:"page_io fill from an offset equals the padded slice"
+    ~count:50
+    Gen.(pair (string_size (int_range 0 9000)) (int_range 0 9000))
+    (fun (s, src_off) ->
+       let _, _, sys = boot () in
+       let ps = sys.Vm_sys.page_size in
+       let src_off = min src_off (String.length s) in
+       let p = Vm_sys.grab_page sys in
+       Page_io.copy_in sys p ~off:0 (Bytes.make ps 'x');
+       Page_io.fill sys p ~src_off (Bytes.of_string s);
+       let whole = Page_io.contents sys p in
+       Resident.free_page sys.Vm_sys.resident p;
+       let avail = min ps (String.length s - src_off) in
+       Bytes.to_string whole
+       = String.sub s src_off avail ^ String.make (ps - avail) '\000')
+
+(* ---- Lazy Phys_mem vs an eager bytes model ------------------------------- *)
+
+type phys_op =
+  | Write of int * int * string
+  | Write_byte of int * int * char
+  | Blit_in of int * int * string * int
+  | Zero_frame of int
+  | Copy_frame of int * int
+
+let phys_lazy_model =
+  let open QCheck2 in
+  let ps = 32 and frames = 5 in
+  let frame = Gen.int_range 0 (frames - 1) in
+  let op =
+    Gen.(
+      frame >>= fun f ->
+      int_range 0 (ps - 1) >>= fun off ->
+      oneof
+        [ map (fun s -> Write (f, off, s)) (string_size (int_range 0 (ps - off)));
+          map (fun c -> Write_byte (f, off, c)) (oneof [ return '\000'; char ]);
+          (string_size (int_range 0 (ps - off)) >>= fun s ->
+           map (fun a -> Blit_in (f, off, "pad" ^ s, a)) (int_range 0 3));
+          return (Zero_frame f);
+          map (fun g -> Copy_frame (f, g)) frame ])
+  in
+  Test.make ~name:"lazy phys_mem agrees with an eager bytes model" ~count:300
+    Gen.(list_size (int_range 0 40) op)
+    (fun ops ->
+       let m = Phys_mem.create ~page_size:ps ~frames () in
+       let model = Array.init frames (fun _ -> Bytes.make ps '\000') in
+       let apply = function
+         | Write (f, off, s) ->
+           Phys_mem.write m f ~offset:off (Bytes.of_string s);
+           Bytes.blit_string s 0 model.(f) off (String.length s)
+         | Write_byte (f, off, c) ->
+           Phys_mem.write_byte m f ~offset:off c;
+           Bytes.set model.(f) off c
+         | Blit_in (f, off, src, src_off) ->
+           let len = min (String.length src - src_off) (ps - off) in
+           Phys_mem.blit_in m f ~offset:off ~src:(Bytes.of_string src)
+             ~src_off ~len;
+           Bytes.blit_string src src_off model.(f) off len
+         | Zero_frame f ->
+           Phys_mem.zero_frame m f;
+           Bytes.fill model.(f) 0 ps '\000'
+         | Copy_frame (src, dst) ->
+           Phys_mem.copy_frame m ~src ~dst;
+           Bytes.blit model.(src) 0 model.(dst) 0 ps
+       in
+       List.iter apply ops;
+       let agrees f =
+         let out = Bytes.create ps in
+         Phys_mem.blit_out m f ~offset:0 ~dst:out ~dst_off:0 ~len:ps;
+         Bytes.equal out model.(f)
+         && Bytes.equal (Phys_mem.read m f ~offset:0 ~len:ps) model.(f)
+       in
+       List.for_all agrees (List.init frames Fun.id)
+       && Phys_mem.zero_image_intact m
+       && Phys_mem.materialized_frames m <= frames)
+
 (* ---- Simfs vs a byte-array model ------------------------------------------ *)
 
 let simfs_model =
@@ -254,10 +332,11 @@ let () =
   Alcotest.run "properties"
     [ ( "models",
         List.map QCheck_alcotest.to_alcotest
-          [ tlb_soundness; simfs_model; buffer_cache_transparent ] );
+          [ tlb_soundness; simfs_model; buffer_cache_transparent;
+            phys_lazy_model ] );
       ( "page_io",
         List.map QCheck_alcotest.to_alcotest
-          [ page_io_roundtrip; page_io_fill_pads ] );
+          [ page_io_roundtrip; page_io_fill_pads; page_io_fill_offset ] );
       ( "system",
         List.map QCheck_alcotest.to_alcotest
           [ protect_preserves_data; vm_copy_equals_read_write;
