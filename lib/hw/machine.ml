@@ -569,67 +569,67 @@ let trap_fault t ~va ~write kind =
     fault_write = reported_write t ~write ~kind;
     fault_kind = kind }
 
+(* One translation attempt of [va] (page [vpn]) on CPU [c]; retried after
+   each fault the handler resolves.  A top-level function rather than a
+   local closure, so a translation allocates nothing on its hit path. *)
+let rec attempt t c ~cpu ~va ~vpn ~write retries =
+  if retries > 16 then
+    raise (Unresolved_fault (trap_fault t ~va ~write `Invalid));
+  match c.translator with
+  | None -> raise (Memory_violation { va; write; reason = "no address space" })
+  | Some tr ->
+    let cost = t.arch.Arch.cost in
+    let cached =
+      if Tlb.capacity c.tlb = 0 then None
+      else Tlb.lookup c.tlb ~asid:tr.Translator.asid ~vpn
+    in
+    (match cached with
+     | Some e ->
+       t.stats.tlb_hit_count <- t.stats.tlb_hit_count + 1;
+       if Prot.allows e.Tlb.prot ~write then begin
+         if not (Queue.is_empty c.pending)
+            && stale_hit c ~asid:tr.Translator.asid ~vpn then
+           t.stats.stale_tlb_uses <- t.stats.stale_tlb_uses + 1;
+         bump t c cost.Arch.mem_op;
+         (match t.on_translated with
+          | None -> ()
+          | Some f -> f ~pfn:e.Tlb.pfn ~write);
+         e.Tlb.pfn
+       end
+       else begin
+         (* Protection faults drop the stale entry before trapping. *)
+         Tlb.invalidate_page c.tlb ~asid:tr.Translator.asid ~vpn;
+         deliver_fault t ~cpu (trap_fault t ~va ~write `Protection);
+         attempt t c ~cpu ~va ~vpn ~write (retries + 1)
+       end
+     | None ->
+       t.stats.tlb_miss_count <- t.stats.tlb_miss_count + 1;
+       bump t c tr.Translator.walk_cost;
+       (match tr.Translator.lookup vpn with
+        | Translator.Mapped { pfn; prot } ->
+          if Tlb.capacity c.tlb > 0 then
+            Tlb.insert c.tlb
+              { Tlb.asid = tr.Translator.asid; vpn; pfn; prot };
+          if Prot.allows prot ~write then begin
+            bump t c cost.Arch.mem_op;
+            (match t.on_translated with
+             | None -> ()
+             | Some f -> f ~pfn ~write);
+            pfn
+          end
+          else begin
+            deliver_fault t ~cpu (trap_fault t ~va ~write `Protection);
+            attempt t c ~cpu ~va ~vpn ~write (retries + 1)
+          end
+        | Translator.Missing ->
+          deliver_fault t ~cpu (trap_fault t ~va ~write `Invalid);
+          attempt t c ~cpu ~va ~vpn ~write (retries + 1)))
+
 let translate t ~cpu ~va ~write =
   if va < 0 then
     raise (Memory_violation { va; write; reason = "negative address" });
-  let c = cpu_of t cpu in
-  let cost = t.arch.Arch.cost in
-  let vpn = va / t.arch.Arch.hw_page_size in
-  let rec attempt retries =
-    if retries > 16 then
-      raise (Unresolved_fault (trap_fault t ~va ~write `Invalid));
-    let cached =
-      match c.translator with
-      | None -> None
-      | Some tr ->
-        if Tlb.capacity c.tlb = 0 then None
-        else Tlb.lookup c.tlb ~asid:tr.Translator.asid ~vpn
-    in
-    match cached, c.translator with
-    | _, None ->
-      raise (Memory_violation { va; write; reason = "no address space" })
-    | Some e, Some tr ->
-      t.stats.tlb_hit_count <- t.stats.tlb_hit_count + 1;
-      if Prot.allows e.Tlb.prot ~write then begin
-        if not (Queue.is_empty c.pending)
-           && stale_hit c ~asid:tr.Translator.asid ~vpn then
-          t.stats.stale_tlb_uses <- t.stats.stale_tlb_uses + 1;
-        bump t c cost.Arch.mem_op;
-        (match t.on_translated with
-         | None -> ()
-         | Some f -> f ~pfn:e.Tlb.pfn ~write);
-        e.Tlb.pfn
-      end
-      else begin
-        (* Protection faults drop the stale entry before trapping. *)
-        Tlb.invalidate_page c.tlb ~asid:tr.Translator.asid ~vpn;
-        deliver_fault t ~cpu (trap_fault t ~va ~write `Protection);
-        attempt (retries + 1)
-      end
-    | None, Some tr ->
-      t.stats.tlb_miss_count <- t.stats.tlb_miss_count + 1;
-      bump t c tr.Translator.walk_cost;
-      (match tr.Translator.lookup vpn with
-       | Translator.Mapped { pfn; prot } ->
-         if Tlb.capacity c.tlb > 0 then
-           Tlb.insert c.tlb
-             { Tlb.asid = tr.Translator.asid; vpn; pfn; prot };
-         if Prot.allows prot ~write then begin
-           bump t c cost.Arch.mem_op;
-           (match t.on_translated with
-            | None -> ()
-            | Some f -> f ~pfn ~write);
-           pfn
-         end
-         else begin
-           deliver_fault t ~cpu (trap_fault t ~va ~write `Protection);
-           attempt (retries + 1)
-         end
-       | Translator.Missing ->
-         deliver_fault t ~cpu (trap_fault t ~va ~write `Invalid);
-         attempt (retries + 1))
-  in
-  attempt 0
+  attempt t (cpu_of t cpu) ~cpu ~va ~vpn:(va / t.arch.Arch.hw_page_size)
+    ~write 0
 
 let move_cost t len =
   let cost = t.arch.Arch.cost in

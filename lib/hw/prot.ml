@@ -31,6 +31,17 @@ let allows p ~write = if write then p.write else p.read
 
 let equal p q = p = q
 
+let to_bits p =
+  (if p.read then 1 else 0)
+  lor (if p.write then 2 else 0)
+  lor (if p.execute then 4 else 0)
+
+let by_bits =
+  Array.init 8 (fun b ->
+      { read = b land 1 <> 0; write = b land 2 <> 0; execute = b land 4 <> 0 })
+
+let of_bits b = by_bits.(b land 7)
+
 let pp ppf p =
   Format.fprintf ppf "%c%c%c"
     (if p.read then 'r' else '-')

@@ -50,6 +50,13 @@ val allows : t -> write:bool -> bool
 val equal : t -> t -> bool
 (** Structural equality. *)
 
+val to_bits : t -> int
+(** [to_bits p] packs [p] into three bits: read 1, write 2, execute 4. *)
+
+val of_bits : int -> t
+(** [of_bits b] unpacks the low three bits of [b]; it allocates nothing,
+    so page tables can store protections as plain ints. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints as e.g. ["rw-"] or ["r-x"]. *)
 

@@ -5,7 +5,17 @@
     multiprocessors the paper ran on kept TLBs consistent in hardware
     (Section 5.2), so invalidation is entirely software-driven: the pmap
     layer calls the flush operations below, possibly on remote CPUs via the
-    machine's shootdown mechanism. *)
+    machine's shootdown mechanism.
+
+    {b Replacement order.}  Replacement is FIFO by first insertion, with
+    one deviation from strict FIFO: invalidating a translation leaves its
+    queue slot behind, and if the same (asid, vpn) is inserted again
+    before that slot has been passed over by an eviction or dropped by
+    the queue's periodic compaction, the new translation takes over the
+    old slot rather than joining the tail.  At capacity 2: insert 1,
+    insert 2, invalidate 1, insert 1, insert 3 evicts 1 (the re-inserted,
+    newest translation) and keeps 2.  Simulated timings depend on this
+    order, so it is pinned by tests. *)
 
 type t
 (** One CPU's TLB. *)
@@ -27,7 +37,9 @@ val lookup : t -> asid:int -> vpn:int -> entry option
 
 val insert : t -> entry -> unit
 (** [insert t e] caches [e], evicting the oldest entry when full and
-    replacing any existing entry for the same (asid, vpn). *)
+    replacing any existing entry for the same (asid, vpn).  Raises
+    [Invalid_argument] if the asid is not in [\[0, 2^22)] or the vpn not
+    in [\[0, 2^40)]. *)
 
 val invalidate_page : t -> asid:int -> vpn:int -> unit
 (** [invalidate_page t ~asid ~vpn] drops the entry for one page, if
@@ -51,4 +63,5 @@ val misses : t -> int
 (** Number of failed lookups so far. *)
 
 val entries : t -> entry list
-(** Current contents, oldest first; used by tests. *)
+(** Current contents, each translation once, in the order evictions
+    would take them (see {b Replacement order} above); used by tests. *)

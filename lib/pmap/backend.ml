@@ -7,6 +7,27 @@
 
 open Mach_hw
 
+(* Tables keyed by asid.  They hash as the polymorphic [Hashtbl] does,
+   so they iterate in the same order: the order of batched flush requests
+   and of [Pmap_domain.live_pmaps] follows from it. *)
+module Asid_tbl = Hashtbl.Make (struct
+    type t = int
+    let equal = Int.equal
+    let hash = Hashtbl.hash
+  end)
+
+(* Above this many distinct pages of one asid, a batch flushes the whole
+   address space rather than shooting page by page. *)
+let flush_whole_space_threshold = 8
+
+(* The distinct pages of one asid collected by an open batch, sorted.
+   Once a [(threshold + 1)]th distinct page arrives the set stops
+   growing: [count > flush_whole_space_threshold] means "flush the whole
+   space". *)
+type pages = { asid : int; mutable count : int; vpns : int array }
+
+let no_pages = { asid = -1; count = 0; vpns = [||] }
+
 (* Accumulator for flush batching.  While a batch is open (depth > 0),
    page and asid shootdowns are collected here instead of being issued
    one exchange at a time; the outermost [end_batch] turns the lot into
@@ -14,8 +35,9 @@ open Mach_hw
    the whole operation. *)
 type batch = {
   mutable depth : int;
-  page_vpns : (int, int list ref) Hashtbl.t;  (* asid -> vpns collected *)
-  whole_asids : (int, unit) Hashtbl.t;        (* asids flushed wholesale *)
+  page_vpns : pages Asid_tbl.t;               (* asid -> pages collected *)
+  whole_asids : unit Asid_tbl.t;              (* asids flushed wholesale *)
+  mutable last : pages;                       (* last page set added to *)
   b_targets : bool array;                     (* union of presences *)
   mutable b_urgent : bool;                    (* OR of urgency at collect *)
 }
@@ -45,8 +67,8 @@ let create machine =
   { machine; pv = Pv.create ~frames; next_asid = 1; cur_cpu = 0;
     urgent_mode = false; batching = true;
     batch =
-      { depth = 0; page_vpns = Hashtbl.create 8;
-        whole_asids = Hashtbl.create 8;
+      { depth = 0; page_vpns = Asid_tbl.create 8;
+        whole_asids = Asid_tbl.create 8; last = no_pages;
         b_targets = Array.make (Machine.cpu_count machine) false;
         b_urgent = false } }
 
@@ -77,10 +99,6 @@ let shoot ctx p req ~urgent =
 
 (* --- Flush batching --------------------------------------------------- *)
 
-(* Above this many pages, a batched range operation flushes the whole
-   address space rather than shooting page by page. *)
-let flush_whole_space_threshold = 8
-
 let set_batching ctx on = ctx.batching <- on
 let batching ctx = ctx.batching
 
@@ -89,39 +107,53 @@ let accumulating ctx = ctx.batching && ctx.batch.depth > 0
 let begin_batch ctx = ctx.batch.depth <- ctx.batch.depth + 1
 
 let add_targets b p =
-  Array.iteri (fun i on -> if on then b.b_targets.(i) <- true) p.ran_on
+  for i = 0 to Array.length p.ran_on - 1 do
+    if p.ran_on.(i) then b.b_targets.(i) <- true
+  done
 
-(* Turn one asid's collected pages into requests: dedupe, sort, coalesce
-   adjacent pages into ranges; past the threshold flush the whole
-   space. *)
-let requests_of_asid ~asid vpns acc =
-  let vpns = List.sort_uniq compare vpns in
-  if List.length vpns > flush_whole_space_threshold then
+let add_page pages vpn =
+  let n = pages.count and v = pages.vpns in
+  if n <= flush_whole_space_threshold then begin
+    let rec slot i = if i < n && v.(i) < vpn then slot (i + 1) else i in
+    let i = slot 0 in
+    if i = n || v.(i) <> vpn then begin
+      if n < flush_whole_space_threshold then begin
+        Array.blit v i v (i + 1) (n - i);
+        v.(i) <- vpn
+      end;
+      pages.count <- n + 1
+    end
+  end
+
+(* Turn one asid's collected pages into requests: coalesce adjacent pages
+   into ranges; past the threshold flush the whole space. *)
+let requests_of_asid pages acc =
+  let asid = pages.asid in
+  if pages.count > flush_whole_space_threshold then
     Machine.Flush_asid asid :: acc
-  else
+  else begin
+    let v = pages.vpns and n = pages.count in
     let emit lo hi acc =
       if hi = lo + 1 then Machine.Flush_page { asid; vpn = lo } :: acc
       else Machine.Flush_range { asid; lo_vpn = lo; hi_vpn = hi } :: acc
     in
-    let rec go lo hi acc = function
-      | [] -> emit lo hi acc
-      | v :: rest ->
-        if v = hi then go lo (hi + 1) acc rest
-        else go v (v + 1) (emit lo hi acc) rest
+    let rec go i lo hi acc =
+      if i = n then emit lo hi acc
+      else if v.(i) = hi then go (i + 1) lo (hi + 1) acc
+      else go (i + 1) v.(i) (v.(i) + 1) (emit lo hi acc)
     in
-    match vpns with
-    | [] -> acc
-    | v :: rest -> go v (v + 1) acc rest
+    if n = 0 then acc else go 1 v.(0) (v.(0) + 1) acc
+  end
 
 let flush_batch ctx =
   let b = ctx.batch in
   let reqs =
-    Hashtbl.fold
-      (fun asid vpns acc ->
-         if Hashtbl.mem b.whole_asids asid then acc
-         else requests_of_asid ~asid !vpns acc)
+    Asid_tbl.fold
+      (fun asid pages acc ->
+         if Asid_tbl.mem b.whole_asids asid then acc
+         else requests_of_asid pages acc)
       b.page_vpns
-      (Hashtbl.fold
+      (Asid_tbl.fold
          (fun asid () acc -> Machine.Flush_asid asid :: acc)
          b.whole_asids [])
   in
@@ -130,8 +162,9 @@ let flush_batch ctx =
     if b.b_targets.(i) then targets := i :: !targets
   done;
   let urgent = b.b_urgent in
-  Hashtbl.reset b.page_vpns;
-  Hashtbl.reset b.whole_asids;
+  Asid_tbl.reset b.page_vpns;
+  Asid_tbl.reset b.whole_asids;
+  b.last <- no_pages;
   Array.fill b.b_targets 0 (Array.length b.b_targets) false;
   b.b_urgent <- false;
   if reqs <> [] then
@@ -152,9 +185,19 @@ let batched ctx f =
 let shoot_page ctx p ~asid ~vpn =
   if accumulating ctx then begin
     let b = ctx.batch in
-    (match Hashtbl.find_opt b.page_vpns asid with
-     | Some l -> l := vpn :: !l
-     | None -> Hashtbl.add b.page_vpns asid (ref [ vpn ]));
+    (* Range operations shoot run after run of one asid's pages. *)
+    if b.last.asid <> asid then
+      b.last <-
+        (match Asid_tbl.find_opt b.page_vpns asid with
+         | Some pages -> pages
+         | None ->
+           let pages =
+             { asid; count = 0;
+               vpns = Array.make flush_whole_space_threshold 0 }
+           in
+           Asid_tbl.add b.page_vpns asid pages;
+           pages);
+    add_page b.last vpn;
     add_targets b p;
     if ctx.urgent_mode then b.b_urgent <- true
   end
@@ -163,7 +206,7 @@ let shoot_page ctx p ~asid ~vpn =
 let shoot_asid ctx p ~asid =
   if accumulating ctx then begin
     let b = ctx.batch in
-    Hashtbl.replace b.whole_asids asid ();
+    Asid_tbl.replace b.whole_asids asid ();
     add_targets b p;
     if ctx.urgent_mode then b.b_urgent <- true
   end
@@ -182,8 +225,7 @@ let deactivate ctx p tr ~cpu =
 let pv_insert ctx ~pfn ~asid ~vpn =
   Pv.insert ctx.pv ~pfn { Pv.pv_asid = asid; pv_vpn = vpn }
 
-let pv_remove ctx ~pfn ~asid ~vpn =
-  Pv.remove ctx.pv ~pfn { Pv.pv_asid = asid; pv_vpn = vpn }
+let pv_remove ctx ~pfn ~asid ~vpn = Pv.remove ctx.pv ~pfn ~asid ~vpn
 
 (* Charge for zeroing or copying [bytes] of memory. *)
 let move_cost ctx bytes = ((bytes + 15) / 16) * (cost ctx).Arch.move_16b

@@ -3,7 +3,7 @@ open Mach_hw
 type t = {
   ctx : Backend.ctx;
   factory : Backend.factory;
-  registry : (int, Pmap.t) Hashtbl.t;
+  registry : Pmap.t Backend.Asid_tbl.t;
   mutable on_first_touch : (pfn:int -> unit) option;
       (* fired when a frame's referenced bit transitions clear -> set;
          the VM layer uses it to observe the first touch of pages it
@@ -21,7 +21,8 @@ let create machine =
     | Arch.Tlb_only -> Pmap_tlbonly.make_domain ctx
   in
   let t =
-    { ctx; factory; registry = Hashtbl.create 16; on_first_touch = None }
+    { ctx; factory; registry = Backend.Asid_tbl.create 16;
+      on_first_touch = None }
   in
   Machine.set_on_translated machine (fun ~pfn ~write ->
       let pv = ctx.Backend.pv in
@@ -47,12 +48,10 @@ let machine t = t.ctx.Backend.machine
 let instrument t (p : Pmap.t) =
   let m = t.ctx.Backend.machine in
   let asid = p.Pmap.asid in
+  let traced () = Mach_obs.Obs.enabled (Machine.tracer m) in
   let note ev =
-    let tr = Machine.tracer m in
-    if Mach_obs.Obs.enabled tr then begin
-      let cpu = t.ctx.Backend.cur_cpu in
-      Mach_obs.Obs.record tr ~ts:(Machine.cycles m ~cpu) ~cpu ev
-    end
+    let cpu = t.ctx.Backend.cur_cpu in
+    Mach_obs.Obs.record (Machine.tracer m) ~ts:(Machine.cycles m ~cpu) ~cpu ev
   in
   let in_pmap f =
     Machine.with_category m ~cpu:t.ctx.Backend.cur_cpu Mach_obs.Obs.Pmap f
@@ -60,16 +59,25 @@ let instrument t (p : Pmap.t) =
   { p with
     Pmap.enter =
       (fun ~va ~pfn ~prot ~wired ->
-         in_pmap (fun () -> p.Pmap.enter ~va ~pfn ~prot ~wired);
-         note (Mach_obs.Obs.Pmap_enter { asid; va; pfn }));
+         if traced () then begin
+           in_pmap (fun () -> p.Pmap.enter ~va ~pfn ~prot ~wired);
+           note (Mach_obs.Obs.Pmap_enter { asid; va; pfn })
+         end
+         else p.Pmap.enter ~va ~pfn ~prot ~wired);
     remove =
       (fun ~start_va ~end_va ->
-         in_pmap (fun () -> p.Pmap.remove ~start_va ~end_va);
-         note (Mach_obs.Obs.Pmap_remove { asid; start_va; end_va }));
+         if traced () then begin
+           in_pmap (fun () -> p.Pmap.remove ~start_va ~end_va);
+           note (Mach_obs.Obs.Pmap_remove { asid; start_va; end_va })
+         end
+         else p.Pmap.remove ~start_va ~end_va);
     protect =
       (fun ~start_va ~end_va ~prot ->
-         in_pmap (fun () -> p.Pmap.protect ~start_va ~end_va ~prot);
-         note (Mach_obs.Obs.Pmap_protect { asid; start_va; end_va })) }
+         if traced () then begin
+           in_pmap (fun () -> p.Pmap.protect ~start_va ~end_va ~prot);
+           note (Mach_obs.Obs.Pmap_protect { asid; start_va; end_va })
+         end
+         else p.Pmap.protect ~start_va ~end_va ~prot) }
 
 let create_pmap t =
   let p = instrument t (t.factory.Backend.new_pmap ()) in
@@ -82,16 +90,16 @@ let create_pmap t =
     decr refs;
     if !refs = 0 then begin
       p.Pmap.destroy ();
-      Hashtbl.remove t.registry p.Pmap.asid
+      Backend.Asid_tbl.remove t.registry p.Pmap.asid
     end
   in
   let p = { p with Pmap.reference; destroy } in
-  Hashtbl.add t.registry p.Pmap.asid p;
+  Backend.Asid_tbl.add t.registry p.Pmap.asid p;
   p
 
-let find_pmap t ~asid = Hashtbl.find_opt t.registry asid
+let find_pmap t ~asid = Backend.Asid_tbl.find_opt t.registry asid
 
-let live_pmaps t = Hashtbl.fold (fun _ p acc -> p :: acc) t.registry []
+let live_pmaps t = Backend.Asid_tbl.fold (fun _ p acc -> p :: acc) t.registry []
 
 let set_current_cpu t cpu = t.ctx.Backend.cur_cpu <- cpu
 
@@ -159,13 +167,13 @@ let copy_page t ~src ~dst =
 let shared_map_bytes t = t.factory.Backend.shared_map_bytes ()
 
 let total_map_bytes t =
-  Hashtbl.fold
+  Backend.Asid_tbl.fold
     (fun _ p acc -> acc + p.Pmap.map_bytes ())
     t.registry (shared_map_bytes t)
 
 let total_stats t =
   let acc = Pmap.fresh_stats () in
-  Hashtbl.iter
+  Backend.Asid_tbl.iter
     (fun _ p ->
        let s = p.Pmap.stats in
        acc.Pmap.enters <- acc.Pmap.enters + s.Pmap.enters;

@@ -23,12 +23,13 @@ let insert t ~pfn m =
   if debug_checks then assert (not (List.mem m t.lists.(pfn)));
   t.lists.(pfn) <- m :: t.lists.(pfn)
 
-let remove t ~pfn m =
+let remove t ~pfn ~asid ~vpn =
   (* One traversal dropping the first occurrence; a missing mapping still
      asserts, without a separate membership scan. *)
   let rec drop = function
     | [] -> assert false
-    | m' :: rest -> if m' = m then rest else m' :: drop rest
+    | m :: rest ->
+      if m.pv_asid = asid && m.pv_vpn = vpn then rest else m :: drop rest
   in
   t.lists.(pfn) <- drop t.lists.(pfn)
 

@@ -21,9 +21,9 @@ val insert : t -> pfn:int -> mapping -> unit
 (** [insert t ~pfn m] records that [m] maps [pfn].  Duplicate insertions
     are an error caught by assertion. *)
 
-val remove : t -> pfn:int -> mapping -> unit
-(** [remove t ~pfn m] forgets [m].  Removing an absent mapping is an
-    error. *)
+val remove : t -> pfn:int -> asid:int -> vpn:int -> unit
+(** [remove t ~pfn ~asid ~vpn] forgets the mapping of [pfn] at page [vpn]
+    of [asid].  Removing an absent mapping is an error. *)
 
 val mappings : t -> pfn:int -> mapping list
 (** [mappings t ~pfn] is every current mapping of [pfn]. *)

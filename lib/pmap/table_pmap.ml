@@ -11,14 +11,34 @@
 
 open Mach_hw
 
-type pte = {
-  mutable p_pfn : int;
-  mutable p_prot : Prot.t;
-  mutable p_valid : bool;
-  mutable p_wired : bool;
-}
+(* A pte is one int: frame number above five flag bits, so a table page
+   is a flat int array and reading a pte allocates nothing.  0 is the
+   invalid pte. *)
+let prot_mask = 0b111       (* Prot.to_bits *)
+let valid_bit = 0b1000
+let wired_bit = 0b10000
+let pfn_shift = 5
 
-type tpage = { ptes : pte array; mutable valid_count : int }
+let make_pte ~pfn ~prot ~wired =
+  (pfn lsl pfn_shift) lor valid_bit
+  lor (if wired then wired_bit else 0)
+  lor Prot.to_bits prot
+
+let pte_valid pte = pte land valid_bit <> 0
+let pte_wired pte = pte land wired_bit <> 0
+let pte_pfn pte = pte lsr pfn_shift
+let pte_prot pte = Prot.of_bits pte
+
+type tpage = { ptes : int array; mutable valid_count : int }
+
+(* The table-page directory, keyed by table-page index (vpn divided by
+   ptes per page): small, mostly consecutive ints, so they are their own
+   hash. *)
+module Tpages = Hashtbl.Make (struct
+    type t = int
+    let equal = Int.equal
+    let hash i = i land max_int
+  end)
 
 let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
     ?(pfn_ok = fun _ -> true) () =
@@ -28,56 +48,43 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
   let page = Backend.page_size ctx in
   let pte_bytes = (Backend.arch ctx).Arch.pte_bytes in
   let ptes_per_page = page / pte_bytes in
-  let tables : (int, tpage) Hashtbl.t = Hashtbl.create 16 in
+  let tables : tpage Tpages.t = Tpages.create 16 in
   let resident = ref 0 in
 
-  let fresh_pte () =
-    { p_pfn = 0; p_prot = Prot.none; p_valid = false; p_wired = false }
+  let pte_at vpn =
+    match Tpages.find tables (vpn / ptes_per_page) with
+    | tp -> tp.ptes.(vpn mod ptes_per_page)
+    | exception Not_found -> 0
   in
-  let find_pte vpn =
-    match Hashtbl.find_opt tables (vpn / ptes_per_page) with
-    | None -> None
-    | Some tp -> Some tp.ptes.(vpn mod ptes_per_page)
-  in
-  let find_or_create_tpage vpn =
-    let idx = vpn / ptes_per_page in
-    match Hashtbl.find_opt tables idx with
-    | Some tp -> tp
-    | None ->
+  let find_or_create_tpage idx =
+    match Tpages.find tables idx with
+    | tp -> tp
+    | exception Not_found ->
       (* Constructing a page-table page costs a page zero. *)
       Backend.charge ctx (Backend.move_cost ctx page);
-      let tp =
-        { ptes = Array.init ptes_per_page (fun _ -> fresh_pte ());
-          valid_count = 0 }
-      in
-      Hashtbl.add tables idx tp;
+      let tp = { ptes = Array.make ptes_per_page 0; valid_count = 0 } in
+      Tpages.add tables idx tp;
       tp
   in
 
-  (* Invalidate one pte; the caller decides how to flush. *)
-  let invalidate_pte vpn pte =
-    assert pte.p_valid;
-    pte.p_valid <- false;
-    Backend.pv_remove ctx ~pfn:pte.p_pfn ~asid ~vpn;
+  (* Invalidate the pte of [vpn], slot [i] of [tp]; the caller decides how
+     to flush. *)
+  let invalidate_pte vpn tp i =
+    let pte = tp.ptes.(i) in
+    assert (pte_valid pte);
+    tp.ptes.(i) <- 0;
+    Backend.pv_remove ctx ~pfn:(pte_pfn pte) ~asid ~vpn;
     Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
     decr resident;
     stats.Pmap.removals <- stats.Pmap.removals + 1;
-    let idx = vpn / ptes_per_page in
-    match Hashtbl.find_opt tables idx with
-    | None -> assert false
-    | Some tp ->
-      tp.valid_count <- tp.valid_count - 1;
-      if tp.valid_count = 0 then Hashtbl.remove tables idx
+    tp.valid_count <- tp.valid_count - 1;
+    if tp.valid_count = 0 then Tpages.remove tables (vpn / ptes_per_page)
   in
 
-  let install vpn ~pfn ~prot ~wired =
-    let tp = find_or_create_tpage vpn in
-    let pte = tp.ptes.(vpn mod ptes_per_page) in
-    assert (not pte.p_valid);
-    pte.p_pfn <- pfn;
-    pte.p_prot <- prot;
-    pte.p_valid <- true;
-    pte.p_wired <- wired;
+  let install tp vpn ~pfn ~prot ~wired =
+    let i = vpn mod ptes_per_page in
+    assert (not (pte_valid tp.ptes.(i)));
+    tp.ptes.(i) <- make_pte ~pfn ~prot ~wired;
     tp.valid_count <- tp.valid_count + 1;
     incr resident;
     Backend.pv_insert ctx ~pfn ~asid ~vpn
@@ -89,47 +96,54 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
     if not (pfn_ok pfn) then
       invalid_arg "pmap_enter: physical page beyond hardware limit";
     let vpn = va / page in
+    let idx = vpn / ptes_per_page and i = vpn mod ptes_per_page in
     (* TLBs need invalidating only when a previously valid translation
        changes; fresh entries cannot be cached anywhere. *)
-    (match find_pte vpn with
-     | Some pte when pte.p_valid && pte.p_pfn = pfn ->
+    (match Tpages.find tables idx with
+     | tp when pte_valid tp.ptes.(i) && pte_pfn tp.ptes.(i) = pfn ->
        (* Same frame: update protection in place. *)
-       pte.p_prot <- prot;
-       pte.p_wired <- wired;
+       tp.ptes.(i) <- make_pte ~pfn ~prot ~wired;
        Backend.shoot_page ctx presence ~asid ~vpn
-     | Some pte when pte.p_valid ->
-       invalidate_pte vpn pte;
+     | tp when pte_valid tp.ptes.(i) ->
+       invalidate_pte vpn tp i;
        Backend.shoot_page ctx presence ~asid ~vpn;
-       install vpn ~pfn ~prot ~wired
-     | Some _ | None -> install vpn ~pfn ~prot ~wired);
+       (* The table page is gone if that was its last valid pte. *)
+       install (find_or_create_tpage idx) vpn ~pfn ~prot ~wired
+     | tp -> install tp vpn ~pfn ~prot ~wired
+     | exception Not_found ->
+       install (find_or_create_tpage idx) vpn ~pfn ~prot ~wired);
     Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
     stats.Pmap.enters <- stats.Pmap.enters + 1
   in
 
-  (* Visit the valid ptes whose vpn lies in [lo, hi); [f vpn pte] may
-     invalidate the pte.  Iterates existing table pages, not the raw
-     virtual range, so sparse spaces stay cheap. *)
+  (* Visit the valid ptes whose vpn lies in [lo, hi) in ascending vpn
+     order as [f vpn tp i]; [f] may invalidate the pte.  Walk whichever
+     side is smaller: the table pages covering the range, looked up one
+     by one, or the table pages that exist, sorted, so sparse spaces and
+     whole-space sweeps stay cheap. *)
   let iter_valid_in_range lo hi f =
-    let idxs =
-      Hashtbl.fold
-        (fun idx _ acc ->
-           let first_vpn = idx * ptes_per_page in
-           let last_vpn = first_vpn + ptes_per_page - 1 in
-           if last_vpn >= lo && first_vpn < hi then idx :: acc else acc)
-        tables []
-      |> List.sort compare
-    in
     let visit idx =
-      match Hashtbl.find_opt tables idx with
-      | None -> ()
-      | Some tp ->
-        for i = 0 to ptes_per_page - 1 do
-          let vpn = (idx * ptes_per_page) + i in
-          let pte = tp.ptes.(i) in
-          if vpn >= lo && vpn < hi && pte.p_valid then f vpn pte
+      match Tpages.find tables idx with
+      | exception Not_found -> ()
+      | tp ->
+        let first_vpn = idx * ptes_per_page in
+        for i = max 0 (lo - first_vpn)
+            to min ptes_per_page (hi - first_vpn) - 1 do
+          if pte_valid tp.ptes.(i) then f (first_vpn + i) tp i
         done
     in
-    List.iter visit idxs
+    if lo < hi then begin
+      let lo_idx = lo / ptes_per_page and hi_idx = (hi - 1) / ptes_per_page in
+      if hi_idx - lo_idx < Tpages.length tables then
+        for idx = lo_idx to hi_idx do visit idx done
+      else
+        Tpages.fold
+          (fun idx _ acc ->
+             if idx >= lo_idx && idx <= hi_idx then idx :: acc else acc)
+          tables []
+        |> List.sort Int.compare
+        |> List.iter visit
+    end
   in
 
   (* The batch accumulator coalesces the per-page shootdowns into one
@@ -139,33 +153,33 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
     let lo = start_va / page in
     let hi = (end_va + page - 1) / page in
     Backend.batched ctx (fun () ->
-        iter_valid_in_range lo hi (fun vpn pte ->
-            f vpn pte;
+        iter_valid_in_range lo hi (fun vpn tp i ->
+            f vpn tp i;
             Backend.shoot_page ctx presence ~asid ~vpn))
   in
 
   let remove ~start_va ~end_va =
-    range_op ~start_va ~end_va (fun vpn pte -> invalidate_pte vpn pte)
+    range_op ~start_va ~end_va invalidate_pte
   in
 
   let protect ~start_va ~end_va ~prot =
     stats.Pmap.protect_ops <- stats.Pmap.protect_ops + 1;
-    range_op ~start_va ~end_va (fun _vpn pte ->
-        pte.p_prot <- Prot.inter pte.p_prot prot;
+    let keep = lnot prot_mask lor Prot.to_bits prot in
+    range_op ~start_va ~end_va (fun _vpn tp i ->
+        tp.ptes.(i) <- tp.ptes.(i) land keep;
         Backend.charge ctx (Backend.cost ctx).Arch.pte_write)
   in
 
   let extract va =
-    match find_pte (va / page) with
-    | Some pte when pte.p_valid -> Some pte.p_pfn
-    | Some _ | None -> None
+    let pte = pte_at (va / page) in
+    if pte_valid pte then Some (pte_pfn pte) else None
   in
 
   let lookup vpn =
-    match find_pte vpn with
-    | Some pte when pte.p_valid ->
-      Translator.Mapped { pfn = pte.p_pfn; prot = pte.p_prot }
-    | Some _ | None -> Translator.Missing
+    let pte = pte_at vpn in
+    if pte_valid pte then
+      Translator.Mapped { pfn = pte_pfn pte; prot = pte_prot pte }
+    else Translator.Missing
   in
   let translator =
     { Translator.asid; lookup;
@@ -175,9 +189,9 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
   (* Drop every non-wired mapping: the pmap-as-cache behaviour. *)
   let collect () =
     let dropped = ref 0 in
-    iter_valid_in_range 0 max_int (fun vpn pte ->
-        if not pte.p_wired then begin
-          invalidate_pte vpn pte;
+    iter_valid_in_range 0 max_int (fun vpn tp i ->
+        if not (pte_wired tp.ptes.(i)) then begin
+          invalidate_pte vpn tp i;
           incr dropped
         end);
     stats.Pmap.cache_drops <- stats.Pmap.cache_drops + !dropped;
@@ -185,12 +199,12 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
   in
 
   let destroy () =
-    iter_valid_in_range 0 max_int (fun vpn pte -> invalidate_pte vpn pte);
+    iter_valid_in_range 0 max_int invalidate_pte;
     Backend.shoot_asid ctx presence ~asid;
-    Hashtbl.reset tables
+    Tpages.reset tables
   in
 
-  let map_bytes () = top_bytes + (Hashtbl.length tables * page) in
+  let map_bytes () = top_bytes + (Tpages.length tables * page) in
 
   (* pmap_copy (Table 3-4, optional): duplicate valid mappings into a
      destination pmap so it avoids its initial faults.  Write permission
@@ -199,10 +213,11 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
   let copy ~dst ~dst_start ~len ~src_start =
     let lo = src_start / page in
     let hi = (src_start + len + page - 1) / page in
-    iter_valid_in_range lo hi (fun vpn pte ->
+    iter_valid_in_range lo hi (fun vpn tp i ->
+        let pte = tp.ptes.(i) in
         let va = dst_start + ((vpn * page) - src_start) in
-        dst.Pmap.enter ~va ~pfn:pte.p_pfn
-          ~prot:(Prot.remove_write pte.p_prot) ~wired:false)
+        dst.Pmap.enter ~va ~pfn:(pte_pfn pte)
+          ~prot:(Prot.remove_write (pte_prot pte)) ~wired:false)
   in
 
   {
@@ -214,7 +229,7 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
     remove;
     protect;
     extract;
-    access_check = (fun va -> extract va <> None);
+    access_check = (fun va -> pte_valid (pte_at (va / page)));
     activate = (fun ~cpu -> Backend.activate ctx presence translator ~cpu);
     deactivate =
       (fun ~cpu -> Backend.deactivate ctx presence translator ~cpu);

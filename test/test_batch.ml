@@ -199,6 +199,82 @@ let test_accumulator_promotes () =
   Alcotest.(check int) "one shootdown" 1
     (Machine.stats machine).Machine.shootdowns
 
+(* The threshold counts distinct pages, so shooting each page twice
+   changes nothing: 8 distinct pages (16 shots) still go out as coalesced
+   page/range requests, and a 9th distinct page turns the lot into
+   exactly one whole-space flush.  Either way it is one exchange and one
+   IPI to the one remote CPU. *)
+let test_accumulator_threshold_counts_distinct_pages () =
+  let run vpns =
+    let machine =
+      Machine.create ~arch:Arch.uvax2 ~memory_frames:256 ~cpus:2 ()
+    in
+    let domain = Pmap_domain.create machine in
+    let tr = Obs.create () in
+    Obs.set_enabled tr true;
+    Machine.set_tracer machine tr;
+    let p = Pmap_domain.create_pmap domain in
+    let ps = Arch.uvax2.Arch.hw_page_size in
+    p.Pmap.activate ~cpu:0;
+    p.Pmap.activate ~cpu:1;
+    List.iter
+      (fun vpn ->
+         p.Pmap.enter ~va:(vpn * ps) ~pfn:(20 + vpn) ~prot:Prot.read_write
+           ~wired:false)
+      vpns;
+    Machine.reset_clocks machine;
+    Obs.reset tr;
+    Pmap_domain.batched domain (fun () ->
+        for _ = 1 to 2 do
+          List.iter
+            (fun vpn ->
+               p.Pmap.protect ~start_va:(vpn * ps) ~end_va:((vpn + 1) * ps)
+                 ~prot:Prot.read_only)
+            vpns
+        done);
+    let flushes kind =
+      let n = ref 0 in
+      Mach_obs.Ring.iter
+        (fun r ->
+           match r.Obs.ev with
+           | Obs.Tlb_flush { kind = k; _ } when k = kind -> incr n
+           | _ -> ())
+        (Obs.ring tr);
+      !n
+    in
+    let batch_requests = ref 0 in
+    Mach_obs.Ring.iter
+      (fun r ->
+         match r.Obs.ev with
+         | Obs.Shootdown_batch { requests; _ } -> batch_requests := requests
+         | _ -> ())
+      (Obs.ring tr);
+    let stats = Machine.stats machine in
+    ( stats.Machine.ipis, stats.Machine.shootdowns, !batch_requests,
+      flushes Obs.Fl_page, flushes Obs.Fl_range, flushes Obs.Fl_asid )
+  in
+  (* 8 distinct pages: ranges [0,3) and [20,22), pages 5, 7 and 9. *)
+  let ipis, shootdowns, requests, pages, ranges, asids =
+    run [ 0; 1; 2; 5; 7; 9; 20; 21 ]
+  in
+  Alcotest.(check int) "8 pages: one IPI" 1 ipis;
+  Alcotest.(check int) "8 pages: one exchange" 1 shootdowns;
+  Alcotest.(check int) "8 pages: five coalesced requests" 5 requests;
+  (* Each request is flushed on the initiator and on the remote CPU. *)
+  Alcotest.(check int) "8 pages: page flushes" 6 pages;
+  Alcotest.(check int) "8 pages: range flushes" 4 ranges;
+  Alcotest.(check int) "8 pages: no whole-space flush" 0 asids;
+  let ipis, shootdowns, requests, pages, ranges, asids =
+    run [ 0; 1; 2; 5; 7; 9; 20; 21; 30 ]
+  in
+  Alcotest.(check int) "9 pages: one IPI" 1 ipis;
+  Alcotest.(check int) "9 pages: one exchange" 1 shootdowns;
+  (* A single request goes out as a plain shootdown, not a batch. *)
+  Alcotest.(check int) "9 pages: no multi-request batch" 0 requests;
+  Alcotest.(check int) "9 pages: no page flushes" 0 pages;
+  Alcotest.(check int) "9 pages: no range flushes" 0 ranges;
+  Alcotest.(check int) "9 pages: one whole-space flush per CPU" 2 asids
+
 (* ---- end-to-end: vm_protect / vm_deallocate --------------------------- *)
 
 let boot ?(arch = Arch.uvax2) ?(cpus = 4) () =
@@ -382,7 +458,9 @@ let () =
         [ Alcotest.test_case "coalesces adjacent pages" `Quick
             test_accumulator_coalesces;
           Alcotest.test_case "promotes past the threshold" `Quick
-            test_accumulator_promotes ] );
+            test_accumulator_promotes;
+          Alcotest.test_case "threshold counts distinct pages" `Quick
+            test_accumulator_threshold_counts_distinct_pages ] );
       ( "end_to_end",
         [ Alcotest.test_case "vm_protect: IPIs follow targets" `Quick
             test_protect_ipis_scale_with_targets;

@@ -228,6 +228,156 @@ let test_tlb_zero_capacity () =
   Tlb.insert t (entry ~asid:1 ~vpn:1 ~pfn:1);
   Alcotest.(check bool) "never caches" true (Tlb.lookup t ~asid:1 ~vpn:1 = None)
 
+(* A translation invalidated and then inserted again is one translation:
+   [entries] must not list it once per queue slot it ever had. *)
+let test_tlb_entries_once () =
+  let t = Tlb.create ~capacity:4 in
+  Tlb.insert t (entry ~asid:1 ~vpn:1 ~pfn:1);
+  Tlb.invalidate_page t ~asid:1 ~vpn:1;
+  Tlb.insert t (entry ~asid:1 ~vpn:1 ~pfn:2);
+  Alcotest.(check (list (pair int int))) "listed once" [ (1, 2) ]
+    (List.map (fun e -> (e.Tlb.vpn, e.Tlb.pfn)) (Tlb.entries t))
+
+(* The documented deviation from strict FIFO: a re-inserted translation
+   takes over its invalidated predecessor's queue slot, so it is evicted
+   before an entry that was inserted after that predecessor. *)
+let test_tlb_reinsert_keeps_old_slot () =
+  let t = Tlb.create ~capacity:2 in
+  Tlb.insert t (entry ~asid:1 ~vpn:1 ~pfn:1);
+  Tlb.insert t (entry ~asid:1 ~vpn:2 ~pfn:2);
+  Tlb.invalidate_page t ~asid:1 ~vpn:1;
+  Tlb.insert t (entry ~asid:1 ~vpn:1 ~pfn:1);
+  Tlb.insert t (entry ~asid:1 ~vpn:3 ~pfn:3);
+  Alcotest.(check bool) "re-inserted 1 evicted" true
+    (Tlb.lookup t ~asid:1 ~vpn:1 = None);
+  Alcotest.(check bool) "2 stays" true (Tlb.lookup t ~asid:1 ~vpn:2 <> None);
+  Alcotest.(check (list int)) "eviction order" [ 2; 3 ]
+    (List.map (fun e -> e.Tlb.vpn) (Tlb.entries t))
+
+(* A list model of the TLB's replacement semantics: a table of live
+   translations and the queue of keys in insertion order, dead keys
+   included, compacted to first occurrences of live keys once it grows
+   past twice the capacity.  The TLB must agree with it on every lookup,
+   the hit and miss counts and the [entries] order. *)
+module Tlb_model = struct
+  type t = {
+    cap : int;
+    mutable live : ((int * int) * Tlb.entry) list;
+    mutable queue : (int * int) list;  (* oldest first *)
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create cap = { cap; live = []; queue = []; hits = 0; misses = 0 }
+  let mem m k = List.mem_assoc k m.live
+  let remove m k = m.live <- List.remove_assoc k m.live
+
+  let first_live m =
+    List.fold_left
+      (fun acc k ->
+         if mem m k && not (List.mem k acc) then acc @ [ k ] else acc)
+      [] m.queue
+
+  let rec evict m =
+    match m.queue with
+    | [] -> ()
+    | k :: rest ->
+      m.queue <- rest;
+      if mem m k then remove m k else evict m
+
+  let insert m (e : Tlb.entry) =
+    if m.cap > 0 then begin
+      let k = (e.Tlb.asid, e.Tlb.vpn) in
+      if not (mem m k) then begin
+        if List.length m.live >= m.cap then evict m;
+        if List.length m.queue > 2 * m.cap then m.queue <- first_live m;
+        m.queue <- m.queue @ [ k ]
+      end;
+      m.live <- (k, e) :: List.remove_assoc k m.live
+    end
+
+  let lookup m ~asid ~vpn =
+    match List.assoc_opt (asid, vpn) m.live with
+    | Some e -> m.hits <- m.hits + 1; Some e
+    | None -> m.misses <- m.misses + 1; None
+
+  let drop m p = m.live <- List.filter (fun (k, _) -> not (p k)) m.live
+
+  let entries m = List.map (fun k -> List.assoc k m.live) (first_live m)
+end
+
+type tlb_op =
+  | Insert of int * int * int
+  | Inval_page of int * int
+  | Inval_range of int * int * int
+  | Inval_asid of int
+  | Inval_all
+  | Lookup of int * int
+
+let show_tlb_op = function
+  | Insert (a, v, p) -> Printf.sprintf "insert(%d,%d->%d)" a v p
+  | Inval_page (a, v) -> Printf.sprintf "inval_page(%d,%d)" a v
+  | Inval_range (a, lo, hi) -> Printf.sprintf "inval_range(%d,[%d,%d))" a lo hi
+  | Inval_asid a -> Printf.sprintf "inval_asid(%d)" a
+  | Inval_all -> "inval_all"
+  | Lookup (a, v) -> Printf.sprintf "lookup(%d,%d)" a v
+
+let tlb_op_gen =
+  let open QCheck2.Gen in
+  let asid = int_range 1 3 and vpn = int_range 0 11 in
+  frequency
+    [ (6, map3 (fun a v p -> Insert (a, v, p)) asid vpn (int_range 0 99));
+      (2, map2 (fun a v -> Inval_page (a, v)) asid vpn);
+      (1, map3 (fun a lo n -> Inval_range (a, lo, lo + n)) asid vpn
+            (int_range 0 14));
+      (1, map (fun a -> Inval_asid a) asid);
+      (1, pure Inval_all);
+      (5, map2 (fun a v -> Lookup (a, v)) asid vpn) ]
+
+let tlb_matches_model =
+  QCheck2.Test.make ~name:"tlb replacement matches its list model" ~count:300
+    ~print:(fun (cap, ops) ->
+        Printf.sprintf "capacity %d: %s" cap
+          (String.concat "; " (List.map show_tlb_op ops)))
+    QCheck2.Gen.(pair (int_range 0 6) (list_size (int_range 0 80) tlb_op_gen))
+    (fun (cap, ops) ->
+       let t = Tlb.create ~capacity:cap and m = Tlb_model.create cap in
+       List.for_all
+         (fun op ->
+            let agree_lookup =
+              match op with
+              | Insert (asid, vpn, pfn) ->
+                let e = { Tlb.asid; vpn; pfn; prot = Prot.read_write } in
+                Tlb.insert t e;
+                Tlb_model.insert m e;
+                true
+              | Inval_page (asid, vpn) ->
+                Tlb.invalidate_page t ~asid ~vpn;
+                Tlb_model.drop m (fun k -> k = (asid, vpn));
+                true
+              | Inval_range (asid, lo_vpn, hi_vpn) ->
+                Tlb.invalidate_range t ~asid ~lo_vpn ~hi_vpn;
+                Tlb_model.drop m (fun (a, v) ->
+                    a = asid && v >= lo_vpn && v < hi_vpn);
+                true
+              | Inval_asid asid ->
+                Tlb.invalidate_asid t ~asid;
+                Tlb_model.drop m (fun (a, _) -> a = asid);
+                true
+              | Inval_all ->
+                Tlb.invalidate_all t;
+                m.Tlb_model.live <- [];
+                m.Tlb_model.queue <- [];
+                true
+              | Lookup (asid, vpn) ->
+                Tlb.lookup t ~asid ~vpn = Tlb_model.lookup m ~asid ~vpn
+            in
+            agree_lookup
+            && Tlb.hits t = m.Tlb_model.hits
+            && Tlb.misses t = m.Tlb_model.misses
+            && Tlb.entries t = Tlb_model.entries m)
+         ops)
+
 (* ---- Machine ------------------------------------------------------------ *)
 
 (* A tiny translator over a mutable mapping table. *)
@@ -482,7 +632,12 @@ let () =
           Alcotest.test_case "replace same key" `Quick
             test_tlb_replace_same_key;
           Alcotest.test_case "invalidate" `Quick test_tlb_invalidate;
-          Alcotest.test_case "zero capacity" `Quick test_tlb_zero_capacity ]
+          Alcotest.test_case "zero capacity" `Quick test_tlb_zero_capacity;
+          Alcotest.test_case "entries lists a translation once" `Quick
+            test_tlb_entries_once;
+          Alcotest.test_case "re-insert keeps its old slot" `Quick
+            test_tlb_reinsert_keeps_old_slot;
+          QCheck_alcotest.to_alcotest tlb_matches_model ]
       );
       ( "machine",
         [ Alcotest.test_case "translate + data" `Quick

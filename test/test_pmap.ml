@@ -449,6 +449,146 @@ let pmap_model_test arch =
 
 let model_archs = [ Arch.uvax2; Arch.sun3_160; Arch.ns32082; Arch.rp3_tlb ]
 
+(* The linear page-table pmap (VAX, NS32082) against a map model, with
+   range operations narrow enough to walk the covering table pages one by
+   one and wide enough to walk the sorted table pages instead, plus the
+   whole-space sweeps of collect and destroy.  After every operation:
+   extract over the whole span, resident count, table-page bytes, the
+   Pmap.stats counters, and what the MMU actually lets a read and a write
+   do through the (shot-down) TLB. *)
+type table_op =
+  | T_enter of int * int * Prot.t * bool
+  | T_remove of int * int
+  | T_protect of int * int * Prot.t
+  | T_collect
+
+let show_table_op = function
+  | T_enter (vpn, pfn, prot, wired) ->
+    Printf.sprintf "enter(%d->%d %s%s)" vpn pfn (Prot.to_string prot)
+      (if wired then " wired" else "")
+  | T_remove (lo, hi) -> Printf.sprintf "remove[%d,%d)" lo hi
+  | T_protect (lo, hi, prot) ->
+    Printf.sprintf "protect[%d,%d) %s" lo hi (Prot.to_string prot)
+  | T_collect -> "collect"
+
+let table_pmap_range_test arch =
+  let open QCheck2 in
+  let ptes = page arch / arch.Arch.pte_bytes in
+  let span = 6 * ptes in
+  let vpn =
+    Gen.(map2 (fun idx off -> (idx * ptes) + off) (int_range 0 5)
+           (oneof [ oneofl [ 0; 1; ptes - 2; ptes - 1 ];
+                    int_range 0 (ptes - 1) ]))
+  in
+  let range =
+    Gen.(map2 (fun lo len -> (lo, lo + len)) vpn
+           (oneof [ int_range 1 3; int_range ptes (5 * ptes) ]))
+  in
+  let prot =
+    Gen.oneofl
+      [ Prot.none; Prot.read_only; Prot.read_write; Prot.read_execute;
+        Prot.all ]
+  in
+  let op =
+    Gen.(frequency
+           [ (8, map3 (fun (v, pfn) prot wired -> T_enter (v, pfn, prot, wired))
+                   (pair vpn (int_range 0 255)) prot
+                   (frequency [ (4, pure false); (1, pure true) ]));
+             (3, map (fun (lo, hi) -> T_remove (lo, hi)) range);
+             (3, map2 (fun (lo, hi) p -> T_protect (lo, hi, p)) range prot);
+             (1, pure T_collect) ])
+  in
+  Test.make
+    ~name:(Printf.sprintf "table pmap ranges agree with model [%s]"
+             arch.Arch.name)
+    ~count:60
+    ~print:(fun ops -> String.concat "; " (List.map show_table_op ops))
+    Gen.(list_size (int_range 1 40) op)
+    (fun ops ->
+       let m, domain = setup arch in
+       let p = Pmap_domain.create_pmap domain in
+       p.Pmap.activate ~cpu:0;
+       let ps = page arch in
+       let base_bytes = p.Pmap.map_bytes () in
+       let model = Hashtbl.create 64 in
+       let enters = ref 0 and removals = ref 0 and protects = ref 0 in
+       let drops = ref 0 in
+       let drop_if f =
+         let doomed =
+           Hashtbl.fold (fun v e acc -> if f v e then v :: acc else acc)
+             model []
+         in
+         List.iter (Hashtbl.remove model) doomed;
+         removals := !removals + List.length doomed;
+         List.length doomed
+       in
+       let mmu_allows va ~write =
+         match Machine.translate m ~cpu:0 ~va ~write with
+         | pfn -> Some pfn
+         | exception Machine.Memory_violation _ -> None
+       in
+       let agrees () =
+         let ok = ref true in
+         for v = 0 to span + (5 * ptes) do
+           let expected =
+             Option.map (fun (pfn, _, _) -> pfn) (Hashtbl.find_opt model v)
+           in
+           if p.Pmap.extract (v * ps) <> expected then ok := false
+         done;
+         Hashtbl.iter
+           (fun v (pfn, prot, _) ->
+              let via write =
+                if Prot.allows prot ~write then Some pfn else None
+              in
+              if mmu_allows (v * ps) ~write:false <> via false
+              || mmu_allows (v * ps) ~write:true <> via true
+              then ok := false)
+           model;
+         let table_pages =
+           Hashtbl.fold (fun v _ acc -> (v / ptes) :: acc) model []
+           |> List.sort_uniq compare |> List.length
+         in
+         let s = p.Pmap.stats in
+         !ok
+         && p.Pmap.resident_count () = Hashtbl.length model
+         && p.Pmap.map_bytes () = base_bytes + (table_pages * ps)
+         && s.Pmap.enters = !enters
+         && s.Pmap.removals = !removals
+         && s.Pmap.protect_ops = !protects
+         && s.Pmap.cache_drops = !drops
+       in
+       let step = function
+         | T_enter (v, pfn, prot, wired) ->
+           p.Pmap.enter ~va:(v * ps) ~pfn ~prot ~wired;
+           incr enters;
+           (match Hashtbl.find_opt model v with
+            | Some (old, _, _) when old <> pfn -> incr removals
+            | Some _ | None -> ());
+           Hashtbl.replace model v (pfn, prot, wired)
+         | T_remove (lo, hi) ->
+           p.Pmap.remove ~start_va:(lo * ps) ~end_va:(hi * ps);
+           ignore (drop_if (fun v _ -> v >= lo && v < hi))
+         | T_protect (lo, hi, prot) ->
+           p.Pmap.protect ~start_va:(lo * ps) ~end_va:(hi * ps) ~prot;
+           incr protects;
+           Hashtbl.filter_map_inplace
+             (fun v (pfn, old, wired) ->
+                if v >= lo && v < hi then Some (pfn, Prot.inter old prot, wired)
+                else Some (pfn, old, wired))
+             model
+         | T_collect ->
+           p.Pmap.collect ();
+           drops := !drops + drop_if (fun _ (_, _, wired) -> not wired)
+       in
+       List.for_all (fun o -> step o; agrees ()) ops
+       &&
+       (p.Pmap.destroy ();
+        p.Pmap.resident_count () = 0
+        && p.Pmap.map_bytes () = base_bytes
+        && List.for_all
+             (fun pfn -> Pmap_domain.mapping_count domain ~pfn = 0)
+             (List.init 256 Fun.id)))
+
 let () =
   Alcotest.run "mach_pmap"
     [ ("enter/extract", per_arch "enter/extract" test_enter_extract);
@@ -487,4 +627,8 @@ let () =
       ( "model",
         List.map
           (fun arch -> QCheck_alcotest.to_alcotest (pmap_model_test arch))
-          model_archs ) ]
+          model_archs
+        @ List.map
+            (fun arch ->
+               QCheck_alcotest.to_alcotest (table_pmap_range_test arch))
+            [ Arch.uvax2; Arch.ns32082 ] ) ]

@@ -67,6 +67,11 @@
 #     async run showing a smaller disk-wait share than sync, and the
 #     tracing-off timing cells above must still match BENCH_vm.json to
 #     the digit (attribution is free when no tracer is installed).
+#
+# And, last, one comparison of every cell: a full bench run must write
+# all 249 cells string-equal to the committed BENCH_vm.json, names,
+# measured values and paper references alike.  The subset runs above stay:
+# they also show that each subset replays independently of the rest.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -80,7 +85,10 @@ prof_stats=$(mktemp /tmp/bench_smoke_prof.XXXXXX.json)
 mp_out=$(mktemp /tmp/bench_smoke_mp.XXXXXX.json)
 pr_out=$(mktemp /tmp/bench_smoke_pr.XXXXXX.json)
 st_out=$(mktemp /tmp/bench_smoke_st.XXXXXX.json)
-trap 'rm -f "$out" "$chaos_out" "$cluster_out" "$run_a" "$run_b" "$prof_out" "$prof_stats" "$mp_out" "$pr_out" "$st_out"' EXIT
+all_out=$(mktemp /tmp/bench_smoke_all.XXXXXX.json)
+all_cells=$(mktemp /tmp/bench_smoke_all_cells.XXXXXX)
+base_cells=$(mktemp /tmp/bench_smoke_base_cells.XXXXXX)
+trap 'rm -f "$out" "$chaos_out" "$cluster_out" "$run_a" "$run_b" "$prof_out" "$prof_stats" "$mp_out" "$pr_out" "$st_out" "$all_out" "$all_cells" "$base_cells"' EXIT
 
 dune exec bench/main.exe -- -e shootdown -json "$out" >/dev/null
 
@@ -690,7 +698,31 @@ if [ -z "$fb_events" ] || [ "$fb_events" -eq 0 ]; then
 fi
 rm -f "$run_a.stats" "$run_b.stats"
 
+# ---- every cell ----------------------------------------------------------
+# One full run, one cell per line, compared as strings with the committed
+# file: any drift in any experiment fails here, not only in the cells the
+# checks above pick out.
+dune exec bench/main.exe -- -json "$all_out" >/dev/null
+
+one_cell_per_line() {
+    sed 's/},{/}\
+{/g' "$1"
+}
+one_cell_per_line "$all_out" >"$all_cells"
+one_cell_per_line BENCH_vm.json >"$base_cells"
+n_base=$(grep -c '"name":' "$base_cells" || true)
+n_now=$(grep -c '"name":' "$all_cells" || true)
+if [ "$n_base" -ne 249 ] || [ "$n_now" -ne 249 ]; then
+    echo "bench-smoke: FAIL expected 249 cells, committed BENCH_vm.json has $n_base and the full run wrote $n_now" >&2
+    fail=1
+fi
+if ! cmp -s "$base_cells" "$all_cells"; then
+    echo "bench-smoke: FAIL full bench run differs from the committed BENCH_vm.json (committed <, now >):" >&2
+    diff "$base_cells" "$all_cells" | head -20 >&2 || true
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "bench-smoke: OK (24 shootdown cells at baseline, zero-overhead guards clean, chaos run deterministic with 0 corrupt pages — also under --numa 2, clustered read-ahead beats UNIX on cold reads and is free at cluster_max=1, async disk overlaps at w>=8 and replays under chaos, profiler conserves every cycle with 0 dropped events, mpfault scales on private objects and stalls on shared ones with burst=1 free to the digit, colored+pcpu allocator meets or beats the global queue at 8 CPUs with >90% NUMA locality, pressure sweep survives 4x overcommit with deterministic OOM kills, stream slots un-interfere 8 shared-file readers and are free to the digit for one, chaos replays with --streams 8 --free-behind, all 223 pre-stream cells intact)"
+echo "bench-smoke: OK (24 shootdown cells at baseline, zero-overhead guards clean, chaos run deterministic with 0 corrupt pages — also under --numa 2, clustered read-ahead beats UNIX on cold reads and is free at cluster_max=1, async disk overlaps at w>=8 and replays under chaos, profiler conserves every cycle with 0 dropped events, mpfault scales on private objects and stalls on shared ones with burst=1 free to the digit, colored+pcpu allocator meets or beats the global queue at 8 CPUs with >90% NUMA locality, pressure sweep survives 4x overcommit with deterministic OOM kills, stream slots un-interfere 8 shared-file readers and are free to the digit for one, chaos replays with --streams 8 --free-behind, all 223 pre-stream cells intact, all 249 cells of a full run equal to BENCH_vm.json)"
