@@ -10,13 +10,13 @@ let charge_move (sys : Vm_sys.t) len =
   Vm_sys.charge sys (((len + 15) / 16) * (Vm_sys.cost sys).Mach_hw.Arch.move_16b)
 
 let zero (sys : Vm_sys.t) p =
-  let m = Resident.multiple sys.Vm_sys.resident in
+  let m = Vm_sys.frames sys in
   for i = 0 to m - 1 do
     Pmap_domain.zero_page sys.Vm_sys.domain ~pfn:(p.pfn + i)
   done
 
 let copy (sys : Vm_sys.t) ~src ~dst =
-  let m = Resident.multiple sys.Vm_sys.resident in
+  let m = Vm_sys.frames sys in
   for i = 0 to m - 1 do
     Pmap_domain.copy_page sys.Vm_sys.domain ~src:(src.pfn + i)
       ~dst:(dst.pfn + i)
@@ -46,14 +46,17 @@ let copy_in sys p ~off data =
         ~len:chunk);
   charge_move sys len
 
-let copy_out sys p ~off ~len =
+let blit_out sys p ~off ~len ~dst ~dst_off =
   if off < 0 || len < 0 || off + len > sys.Vm_sys.page_size then
-    invalid_arg "Page_io.copy_out";
-  let buf = Bytes.create len in
+    invalid_arg "Page_io.blit_out";
   iter_frames sys p ~off ~len (fun frame ~foff ~pos ~chunk ->
-      Phys_mem.blit_out (phys sys) frame ~offset:foff ~dst:buf ~dst_off:pos
-        ~len:chunk);
-  charge_move sys len;
+      Phys_mem.blit_out (phys sys) frame ~offset:foff ~dst
+        ~dst_off:(dst_off + pos) ~len:chunk);
+  charge_move sys len
+
+let copy_out sys p ~off ~len =
+  let buf = Bytes.create len in
+  blit_out sys p ~off ~len ~dst:buf ~dst_off:0;
   buf
 
 let fill sys p ?(src_off = 0) data =
@@ -61,7 +64,7 @@ let fill sys p ?(src_off = 0) data =
   let len = max 0 (min ps (Bytes.length data - src_off)) in
   (* Only a short source leaves a tail to zero. *)
   if len < ps then
-    for i = 0 to Resident.multiple sys.Vm_sys.resident - 1 do
+    for i = 0 to Vm_sys.frames sys - 1 do
       Phys_mem.zero_frame (phys sys) (p.pfn + i)
     done;
   iter_frames sys p ~off:0 ~len (fun frame ~foff ~pos ~chunk ->

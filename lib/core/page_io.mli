@@ -17,6 +17,13 @@ val copy_out : Vm_sys.t -> Types.page -> off:int -> len:int -> Bytes.t
 (** [copy_out sys p ~off ~len] extracts a sub-range of the page.  The
     range must lie within the page. *)
 
+val blit_out :
+  Vm_sys.t -> Types.page -> off:int -> len:int -> dst:Bytes.t ->
+  dst_off:int -> unit
+(** [blit_out sys p ~off ~len ~dst ~dst_off] copies a sub-range of the
+    page into [dst] at [dst_off], with no intermediate buffer.  The range
+    must lie within the page. *)
+
 val copy_in : Vm_sys.t -> Types.page -> off:int -> Bytes.t -> unit
 (** [copy_in sys p ~off data] overwrites a sub-range of the page. *)
 

@@ -26,25 +26,25 @@ let make (sys : Vm_sys.t) ~name =
   let ps = sys.Vm_sys.page_size in
   (* Gather contiguous chunks from [offset] up; one disk transfer covers
      the whole gathered range, so a clustered request pays the seek once.
-     No chunk at [offset] itself means the pager holds nothing there (the
-     range contract). *)
+     The run stops at a hole, at a short chunk, or at [length] (taking
+     part of the last chunk); [walk] visits its pieces and returns its
+     length, once to size the buffer and once to fill it.  No chunk at
+     [offset] itself means the pager holds nothing there (the range
+     contract). *)
   let gather ~offset ~length =
-    match Hashtbl.find_opt store offset with
-    | None -> None
-    | Some _ ->
-      let parts = ref [] and got = ref 0 in
-      let rec loop () =
-        if !got < length then
-          match Hashtbl.find_opt store (offset + !got) with
-          | None -> ()
-          | Some d ->
-            let take = min (Bytes.length d) (length - !got) in
-            parts := Bytes.sub d 0 take :: !parts;
-            got := !got + take;
-            if take = Bytes.length d then loop ()
-      in
-      loop ();
-      Some (Bytes.concat Bytes.empty (List.rev !parts), !got)
+    let rec walk f pos =
+      match Hashtbl.find_opt store (offset + pos) with
+      | Some d when pos < length ->
+        let take = min (Bytes.length d) (length - pos) in
+        f d pos take;
+        if take = Bytes.length d then walk f (pos + take) else pos + take
+      | _ -> pos
+    in
+    if not (Hashtbl.mem store offset) then None
+    else begin
+      let data = Bytes.create (walk (fun _ _ _ -> ()) 0) in
+      Some (data, walk (fun d pos take -> Bytes.blit d 0 data pos take) 0)
+    end
   in
   (* Bytes of [data] landing on offsets not yet stored: only new chunks
      commit pool space — rewriting a paged-out page in place is free. *)

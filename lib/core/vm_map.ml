@@ -278,12 +278,13 @@ let allocate sys m ?at ~size ~anywhere () =
 
 (* Write-protect, in every pmap, the resident pages of [o] whose offsets
    lie in [lo, hi): the pmap_copy_on_write operation of Table 3-3 applied
-   over a range. *)
+   over a range.  First frame of each page only: see ROADMAP, "Every
+   hardware frame of a page (moves cells)". *)
 let cow_protect sys o ~lo ~hi =
   List.iter
     (fun p ->
        if p.pg_offset >= lo && p.pg_offset < hi then
-         Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:p.pfn)
+         Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:p.pfn ~frames:1)
     (Resident.object_pages o)
 
 let allocate_object sys m o ~offset ?at ~size ~anywhere

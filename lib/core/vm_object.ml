@@ -91,9 +91,11 @@ let free_page (sys : Vm_sys.t) p =
       sys.Vm_sys.stats.Vm_sys.prefetch_wasted <-
         sys.Vm_sys.stats.Vm_sys.prefetch_wasted + 1;
     Vm_sys.burst_forget sys p;
-    Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:p.pfn ~urgent:true;
-    Pmap_domain.clear_modified sys.Vm_sys.domain ~pfn:p.pfn;
-    Pmap_domain.clear_referenced sys.Vm_sys.domain ~pfn:p.pfn;
+    (* First frame only: see ROADMAP, "Every hardware frame of a page
+       (moves cells)". *)
+    Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:p.pfn ~frames:1 ~urgent:true;
+    Pmap_domain.clear_modified sys.Vm_sys.domain ~pfn:p.pfn ~frames:1;
+    Pmap_domain.clear_referenced sys.Vm_sys.domain ~pfn:p.pfn ~frames:1;
     Resident.free_page ~cpu:(Vm_sys.current_cpu sys) sys.Vm_sys.resident p
   in
   match p.pg_obj with

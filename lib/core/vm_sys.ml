@@ -141,14 +141,16 @@ let fresh_stats () =
    a prefetch hit and the page is promoted like any other prefetch hit.
    Pure bookkeeping: none of this charges cycles. *)
 
+let frames t = Resident.multiple t.resident
+
 let burst_register t p =
-  let m = Resident.multiple t.resident in
+  let m = frames t in
   for i = 0 to m - 1 do
     Hashtbl.replace t.burst_pending (p.Types.pfn + i) p
   done
 
 let burst_forget t p =
-  let m = Resident.multiple t.resident in
+  let m = frames t in
   for i = 0 to m - 1 do
     Hashtbl.remove t.burst_pending (p.Types.pfn + i)
   done

@@ -180,6 +180,11 @@ val create :
     machine-independent page size is [page_multiple] hardware pages.  The
     resident table honours the architecture's physical address limit. *)
 
+val frames : t -> int
+(** Hardware frames per machine-independent page (the boot-time
+    [Resident.multiple]): the [~frames] of every page-level
+    {!Mach_pmap.Pmap_domain} operation. *)
+
 val grab_page : ?reserve:bool -> ?color:int -> t -> Types.page
 (** [grab_page t] allocates a free page, invoking the pageout hook if the
     free list is low.  Ordinary allocations never take the free list

@@ -23,8 +23,9 @@ let flush_whole_space_threshold = 8
 (* The distinct pages of one asid collected by an open batch, sorted.
    Once a [(threshold + 1)]th distinct page arrives the set stops
    growing: [count > flush_whole_space_threshold] means "flush the whole
-   space". *)
-type pages = { asid : int; mutable count : int; vpns : int array }
+   space".  A flushed batch hands its sets back to the accumulator's
+   spares, so a new batch reuses them instead of allocating. *)
+type pages = { mutable asid : int; mutable count : int; vpns : int array }
 
 let no_pages = { asid = -1; count = 0; vpns = [||] }
 
@@ -38,6 +39,7 @@ type batch = {
   page_vpns : pages Asid_tbl.t;               (* asid -> pages collected *)
   whole_asids : unit Asid_tbl.t;              (* asids flushed wholesale *)
   mutable last : pages;                       (* last page set added to *)
+  mutable spares : pages list;                (* sets free for reuse *)
   b_targets : bool array;                     (* union of presences *)
   mutable b_urgent : bool;                    (* OR of urgency at collect *)
 }
@@ -69,6 +71,7 @@ let create machine =
     batch =
       { depth = 0; page_vpns = Asid_tbl.create 8;
         whole_asids = Asid_tbl.create 8; last = no_pages;
+        spares = [];
         b_targets = Array.make (Machine.cpu_count machine) false;
         b_urgent = false } }
 
@@ -145,31 +148,58 @@ let requests_of_asid pages acc =
     if n = 0 then acc else go 1 v.(0) (v.(0) + 1) acc
   end
 
+let page_set b asid =
+  match b.spares with
+  | [] -> { asid; count = 0; vpns = Array.make flush_whole_space_threshold 0 }
+  | pages :: rest ->
+    b.spares <- rest;
+    pages.asid <- asid;
+    pages.count <- 0;
+    pages
+
+let release b pages = b.spares <- pages :: b.spares
+
+(* Requests come out in [Asid_tbl] order: whole-space flushes first, then
+   each other asid's pages.  An empty batch issues nothing.  A batch of
+   one asid's pages, [b.last] alone, needs no table walk: in the
+   perfbench workloads every non-empty batch is one. *)
 let flush_batch ctx =
   let b = ctx.batch in
-  let reqs =
-    Asid_tbl.fold
-      (fun asid pages acc ->
-         if Asid_tbl.mem b.whole_asids asid then acc
-         else requests_of_asid pages acc)
-      b.page_vpns
-      (Asid_tbl.fold
-         (fun asid () acc -> Machine.Flush_asid asid :: acc)
-         b.whole_asids [])
-  in
-  let targets = ref [] in
-  for i = Array.length b.b_targets - 1 downto 0 do
-    if b.b_targets.(i) then targets := i :: !targets
-  done;
-  let urgent = b.b_urgent in
-  Asid_tbl.reset b.page_vpns;
-  Asid_tbl.reset b.whole_asids;
-  b.last <- no_pages;
-  Array.fill b.b_targets 0 (Array.length b.b_targets) false;
-  b.b_urgent <- false;
-  if reqs <> [] then
+  let n_pages = Asid_tbl.length b.page_vpns in
+  let n_whole = Asid_tbl.length b.whole_asids in
+  if n_pages > 0 || n_whole > 0 then begin
+    let reqs =
+      if n_pages = 1 && n_whole = 0 then begin
+        release b b.last;
+        requests_of_asid b.last []
+      end
+      else begin
+        Asid_tbl.iter (fun _ pages -> release b pages) b.page_vpns;
+        Asid_tbl.fold
+          (fun asid pages acc ->
+             if Asid_tbl.mem b.whole_asids asid then acc
+             else requests_of_asid pages acc)
+          b.page_vpns
+          (Asid_tbl.fold
+             (fun asid () acc -> Machine.Flush_asid asid :: acc)
+             b.whole_asids [])
+      end
+    in
+    let targets = ref [] in
+    for i = Array.length b.b_targets - 1 downto 0 do
+      if b.b_targets.(i) then begin
+        targets := i :: !targets;
+        b.b_targets.(i) <- false
+      end
+    done;
+    let urgent = b.b_urgent in
+    Asid_tbl.reset b.page_vpns;
+    Asid_tbl.reset b.whole_asids;
+    b.last <- no_pages;
+    b.b_urgent <- false;
     Machine.shootdown_batch ctx.machine ~initiator:ctx.cur_cpu
       ~targets:!targets reqs ~urgent
+  end
 
 let end_batch ctx =
   let b = ctx.batch in
@@ -180,7 +210,13 @@ let end_batch ctx =
 (* Run [f ()] inside a batch, closing it even on exceptions. *)
 let batched ctx f =
   begin_batch ctx;
-  Fun.protect ~finally:(fun () -> end_batch ctx) f
+  match f () with
+  | v ->
+    end_batch ctx;
+    v
+  | exception e ->
+    end_batch ctx;
+    raise e
 
 let shoot_page ctx p ~asid ~vpn =
   if accumulating ctx then begin
@@ -188,13 +224,10 @@ let shoot_page ctx p ~asid ~vpn =
     (* Range operations shoot run after run of one asid's pages. *)
     if b.last.asid <> asid then
       b.last <-
-        (match Asid_tbl.find_opt b.page_vpns asid with
-         | Some pages -> pages
-         | None ->
-           let pages =
-             { asid; count = 0;
-               vpns = Array.make flush_whole_space_threshold 0 }
-           in
+        (match Asid_tbl.find b.page_vpns asid with
+         | pages -> pages
+         | exception Not_found ->
+           let pages = page_set b asid in
            Asid_tbl.add b.page_vpns asid pages;
            pages);
     add_page b.last vpn;

@@ -107,47 +107,72 @@ let current_cpu t = t.ctx.Backend.cur_cpu
 
 let page_size t = Backend.page_size t.ctx
 
-(* Apply [f pmap page_va] for every current mapping of [pfn]. *)
-let for_all_mappings t ~pfn f =
-  let page = page_size t in
-  List.iter
-    (fun { Pv.pv_asid; pv_vpn } ->
-       match find_pmap t ~asid:pv_asid with
-       | Some p -> f p (pv_vpn * page)
-       | None -> assert false)
-    (Pv.mappings t.ctx.Backend.pv ~pfn)
-
 let begin_batch t = Backend.begin_batch t.ctx
 let end_batch t = Backend.end_batch t.ctx
 let batched t f = Backend.batched t.ctx f
 let set_batching t on = Backend.set_batching t.ctx on
 let batching t = Backend.batching t.ctx
 
-(* The batch wraps every per-mapping removal, so a page mapped into many
-   address spaces costs one consistency exchange rather than one per
-   mapping.  Urgency is captured per accumulated flush, so restoring
-   [urgent_mode] before the batch flushes is safe. *)
-let remove_all t ~pfn ~urgent =
-  let saved = t.ctx.Backend.urgent_mode in
-  t.ctx.Backend.urgent_mode <- urgent;
-  Fun.protect
-    ~finally:(fun () -> t.ctx.Backend.urgent_mode <- saved)
-    (fun () ->
-       batched t (fun () ->
-           for_all_mappings t ~pfn (fun p va ->
-               p.Pmap.remove ~start_va:va ~end_va:(va + page_size t))))
+(* The page-level operations act on a run of [frames] hardware frames
+   from [pfn]: the frames of one machine-independent page.  [f pmap va]
+   runs for every mapping of each frame.  Each mapped frame gets its own
+   batch, so a frame mapped into many address spaces costs one
+   consistency exchange rather than one per mapping — and still one per
+   frame, unless the caller holds a batch open around the whole run.  A
+   frame without mappings opens none. *)
+let each_mapping t ~pfn ~frames f =
+  let page = page_size t in
+  for pfn = pfn to pfn + frames - 1 do
+    match Pv.mappings t.ctx.Backend.pv ~pfn with
+    | [] -> ()
+    | mappings ->
+      batched t (fun () ->
+          List.iter
+            (fun { Pv.pv_asid; pv_vpn } ->
+               f (Backend.Asid_tbl.find t.registry pv_asid) (pv_vpn * page))
+            mappings)
+  done
 
-let copy_on_write t ~pfn =
-  let read_only_mask = Prot.remove_write Prot.all in
-  batched t (fun () ->
-      for_all_mappings t ~pfn (fun p va ->
-          p.Pmap.protect ~start_va:va ~end_va:(va + page_size t)
-            ~prot:read_only_mask))
+(* Urgency is captured per accumulated flush, so restoring [urgent_mode]
+   once the run is done is safe even inside a caller's batch. *)
+let remove_all t ~pfn ~frames ~urgent =
+  let ctx = t.ctx and page = page_size t in
+  let saved = ctx.Backend.urgent_mode in
+  ctx.Backend.urgent_mode <- urgent;
+  match
+    each_mapping t ~pfn ~frames (fun p va ->
+        p.Pmap.remove ~start_va:va ~end_va:(va + page))
+  with
+  | () -> ctx.Backend.urgent_mode <- saved
+  | exception e ->
+    ctx.Backend.urgent_mode <- saved;
+    raise e
 
-let is_modified t ~pfn = Pv.is_modified t.ctx.Backend.pv ~pfn
-let is_referenced t ~pfn = Pv.is_referenced t.ctx.Backend.pv ~pfn
-let clear_modified t ~pfn = Pv.clear_modified t.ctx.Backend.pv ~pfn
-let clear_referenced t ~pfn = Pv.clear_referenced t.ctx.Backend.pv ~pfn
+let copy_on_write t ~pfn ~frames =
+  let read_only_mask = Prot.remove_write Prot.all and page = page_size t in
+  each_mapping t ~pfn ~frames (fun p va ->
+      p.Pmap.protect ~start_va:va ~end_va:(va + page) ~prot:read_only_mask)
+
+let rec any_frame test pv ~pfn ~frames =
+  frames > 0
+  && (test pv ~pfn || any_frame test pv ~pfn:(pfn + 1) ~frames:(frames - 1))
+
+let every_frame clear pv ~pfn ~frames =
+  for pfn = pfn to pfn + frames - 1 do
+    clear pv ~pfn
+  done
+
+let is_modified t ~pfn ~frames =
+  any_frame Pv.is_modified t.ctx.Backend.pv ~pfn ~frames
+
+let is_referenced t ~pfn ~frames =
+  any_frame Pv.is_referenced t.ctx.Backend.pv ~pfn ~frames
+
+let clear_modified t ~pfn ~frames =
+  every_frame Pv.clear_modified t.ctx.Backend.pv ~pfn ~frames
+
+let clear_referenced t ~pfn ~frames =
+  every_frame Pv.clear_referenced t.ctx.Backend.pv ~pfn ~frames
 
 let mapping_count t ~pfn = Pv.mapping_count t.ctx.Backend.pv ~pfn
 

@@ -71,27 +71,35 @@ val set_batching : t -> bool -> unit
 
 val batching : t -> bool
 
-(** {1 Page-level operations (Table 3-3)} *)
+(** {1 Page-level operations (Table 3-3)}
 
-val remove_all : t -> pfn:int -> urgent:bool -> unit
+    These act on a physical page: the run of [frames] hardware frames
+    starting at [pfn], i.e. one machine-independent page (Section 3.1). *)
+
+val remove_all : t -> pfn:int -> frames:int -> urgent:bool -> unit
 (** [pmap_remove_all]: remove the physical page from all maps.  Used by
     pageout; with [urgent:true] the invalidations are propagated with
     interrupts no matter the machine's shootdown strategy (the paper's
-    case 1), otherwise the configured strategy applies. *)
+    case 1), otherwise the configured strategy applies.  Each mapped
+    frame is one consistency exchange (unless the caller holds a batch
+    open); a frame with no mapping costs nothing. *)
 
-val copy_on_write : t -> pfn:int -> unit
+val copy_on_write : t -> pfn:int -> frames:int -> unit
 (** [pmap_copy_on_write]: remove write access to the page in all maps.
-    Used by virtual copy of shared pages. *)
+    Used by virtual copy of shared pages.  Exchanges as {!remove_all}. *)
 
-val is_modified : t -> pfn:int -> bool
-(** Whether the frame was written since the last {!clear_modified}.  The
-    simulated MMU sets the bit on every translated write. *)
+val is_modified : t -> pfn:int -> frames:int -> bool
+(** Whether any frame of the page was written since the last
+    {!clear_modified}.  The simulated MMU sets a frame's bit on every
+    translated write. *)
 
-val is_referenced : t -> pfn:int -> bool
-(** Whether the frame was touched since the last {!clear_referenced}. *)
+val is_referenced : t -> pfn:int -> frames:int -> bool
+(** Whether any frame of the page was touched since the last
+    {!clear_referenced}. *)
 
-val clear_modified : t -> pfn:int -> unit
-val clear_referenced : t -> pfn:int -> unit
+val clear_modified : t -> pfn:int -> frames:int -> unit
+val clear_referenced : t -> pfn:int -> frames:int -> unit
+(** Clear the bit on every frame of the page. *)
 
 val mapping_count : t -> pfn:int -> int
 (** How many virtual mappings of the frame exist right now. *)

@@ -275,6 +275,74 @@ let test_accumulator_threshold_counts_distinct_pages () =
   Alcotest.(check int) "9 pages: no range flushes" 0 ranges;
   Alcotest.(check int) "9 pages: one whole-space flush per CPU" 2 asids
 
+(* A flushed batch hands its per-asid page sets back for reuse.  Three
+   batches in a row — asid A's pages 0-2, then B's page 4, then A's page
+   5 — must go out as exactly Flush_range A [0,3), Flush_page B 4 and
+   Flush_page A 5: nothing collected by one batch leaks into the next
+   through a reused set.  A is active on CPU 0 and B on CPU 1, each with
+   pages 0-5 cached in that CPU's TLB. *)
+let test_accumulator_reuses_page_sets () =
+  let machine = Machine.create ~arch:Arch.uvax2 ~memory_frames:256 ~cpus:2 () in
+  let domain = Pmap_domain.create machine in
+  let tr = Obs.create () in
+  Obs.set_enabled tr true;
+  Machine.set_tracer machine tr;
+  let ps = Arch.uvax2.Arch.hw_page_size in
+  let pa = Pmap_domain.create_pmap domain in
+  let pb = Pmap_domain.create_pmap domain in
+  pa.Pmap.activate ~cpu:0;
+  pb.Pmap.activate ~cpu:1;
+  for vpn = 0 to 5 do
+    pa.Pmap.enter ~va:(vpn * ps) ~pfn:(20 + vpn) ~prot:Prot.read_write
+      ~wired:false;
+    pb.Pmap.enter ~va:(vpn * ps) ~pfn:(40 + vpn) ~prot:Prot.read_write
+      ~wired:false;
+    ignore (Machine.read_byte machine ~cpu:0 ~va:(vpn * ps));
+    ignore (Machine.read_byte machine ~cpu:1 ~va:(vpn * ps))
+  done;
+  Obs.reset tr;
+  let remove (p : Pmap.t) lo hi =
+    Pmap_domain.batched domain (fun () ->
+        p.Pmap.remove ~start_va:(lo * ps) ~end_va:(hi * ps))
+  in
+  remove pa 0 3;
+  remove pb 4 5;
+  remove pa 5 6;
+  let flushes = ref [] and batches = ref 0 in
+  Mach_obs.Ring.iter
+    (fun r ->
+       match r.Obs.ev with
+       | Obs.Tlb_flush { kind; _ } -> flushes := (r.Obs.cpu, kind) :: !flushes
+       | Obs.Shootdown_batch _ -> incr batches
+       | _ -> ())
+    (Obs.ring tr);
+  (* B's page is flushed on the initiator (CPU 0) and on CPU 1, where B
+     ran; A's requests stay local to CPU 0. *)
+  Alcotest.(check (list (pair int string)))
+    "one request per batch"
+    [ (0, "range"); (0, "page"); (1, "page"); (0, "page") ]
+    (List.rev_map
+       (fun (cpu, k) ->
+          ( cpu,
+            match k with
+            | Obs.Fl_page -> "page"
+            | Obs.Fl_range -> "range"
+            | Obs.Fl_asid -> "asid"
+            | Obs.Fl_all -> "all" ))
+       !flushes);
+  Alcotest.(check int) "no multi-request batch" 0 !batches;
+  let cached cpu ~asid =
+    List.sort compare
+      (List.filter_map
+         (fun (e : Tlb.entry) ->
+            if e.Tlb.asid = asid then Some e.Tlb.vpn else None)
+         (Machine.tlb_contents machine ~cpu))
+  in
+  Alcotest.(check (list int)) "A keeps pages 3 and 4" [ 3; 4 ]
+    (cached 0 ~asid:pa.Pmap.asid);
+  Alcotest.(check (list int)) "B loses only page 4" [ 0; 1; 2; 3; 5 ]
+    (cached 1 ~asid:pb.Pmap.asid)
+
 (* ---- end-to-end: vm_protect / vm_deallocate --------------------------- *)
 
 let boot ?(arch = Arch.uvax2) ?(cpus = 4) () =
@@ -352,80 +420,113 @@ let test_deallocate_ipis_scale_with_targets () =
 let archs =
   [ Arch.uvax2; Arch.rt_pc; Arch.sun3_160; Arch.ns32082; Arch.rp3_tlb ]
 
+(* Two pmaps (two asids); [p] picks one.  Both CPUs start on the first,
+   so its removals shoot a live TLB on the other CPU; [Switch] brings in
+   the second.  [Batch] runs its ops inside one open batch, so its
+   flushes may span both asids and mix page sets with whole-space
+   flushes ([Collect]). *)
 type op =
-  | Enter of int * int (* vpn, pfn *)
-  | Remove of int * int (* lo_vpn, pages *)
-  | Protect of int * int (* lo_vpn, pages *)
+  | Enter of int * int * int (* p, vpn, pfn *)
+  | Remove of int * int * int (* p, lo_vpn, pages *)
+  | Protect of int * int * int (* p, lo_vpn, pages *)
+  | Collect of int (* p *)
   | Touch of int * int (* cpu, vpn *)
+  | Switch of int * int (* cpu, p *)
   | Batching of bool
+  | Batch of op list
 
 let op_gen =
   QCheck2.Gen.(
-    oneof
-      [ map2 (fun v p -> Enter (v, p)) (int_range 0 31) (int_range 1 63);
-        map2 (fun v n -> Remove (v, n)) (int_range 0 31) (int_range 1 12);
-        map2 (fun v n -> Protect (v, n)) (int_range 0 31) (int_range 1 12);
-        map2 (fun c v -> Touch (c, v)) (int_range 0 1) (int_range 0 31);
-        map (fun b -> Batching b) bool ])
+    let pmap_op =
+      oneof
+        [ map3 (fun p v f -> Enter (p, v, f)) (int_range 0 1) (int_range 0 31)
+            (int_range 1 63);
+          map3 (fun p v n -> Remove (p, v, n)) (int_range 0 1) (int_range 0 31)
+            (int_range 1 12);
+          map3 (fun p v n -> Protect (p, v, n)) (int_range 0 1)
+            (int_range 0 31) (int_range 1 12);
+          map (fun p -> Collect p) (int_range 0 1) ]
+    in
+    frequency
+      [ (4, pmap_op);
+        (2, map2 (fun c v -> Touch (c, v)) (int_range 0 1) (int_range 0 31));
+        (1, map2 (fun c p -> Switch (c, p)) (int_range 0 1) (int_range 0 1));
+        (1, map (fun b -> Batching b) bool);
+        (1, map (fun ops -> Batch ops) (list_size (int_range 2 4) pmap_op)) ])
 
 (* Under Immediate_ipi there is never a pending invalidation, so at any
    point every cached TLB entry must agree with the page tables — batched
-   or not.  The model map drives fault-time re-entry so TLB-only machines
-   can make progress. *)
+   or not.  The model maps drive fault-time re-entry into the pmap active
+   on the faulting CPU, so TLB-only machines can make progress and
+   collected mappings come back. *)
 let mixed_ops_agree arch ops =
   let machine =
     Machine.create ~arch ~memory_frames:256 ~cpus:2
       ~shootdown:Machine.Immediate_ipi ()
   in
   let domain = Pmap_domain.create machine in
-  let p = Pmap_domain.create_pmap domain in
+  let pmaps = Array.init 2 (fun _ -> Pmap_domain.create_pmap domain) in
+  let models : (int, int * Prot.t) Hashtbl.t array =
+    Array.init 2 (fun _ -> Hashtbl.create 32)
+  in
+  let active = [| 0; 0 |] in
   let ps = arch.Arch.hw_page_size in
-  let model : (int, int * Prot.t) Hashtbl.t = Hashtbl.create 32 in
-  Machine.set_fault_handler machine (fun ~cpu:_ f ->
+  Machine.set_fault_handler machine (fun ~cpu f ->
       let vpn = f.Machine.fault_va / ps in
-      match Hashtbl.find_opt model vpn with
+      let i = active.(cpu) in
+      match Hashtbl.find_opt models.(i) vpn with
       | Some (pfn, prot) ->
-        p.Pmap.enter ~va:(vpn * ps) ~pfn ~prot ~wired:false
+        pmaps.(i).Pmap.enter ~va:(vpn * ps) ~pfn ~prot ~wired:false
       | None ->
         raise
           (Machine.Memory_violation
              { va = f.Machine.fault_va; write = f.Machine.fault_write;
                reason = "unmapped" }))
   ;
-  p.Pmap.activate ~cpu:0;
-  p.Pmap.activate ~cpu:1;
-  let apply = function
-    | Enter (vpn, pfn) ->
-      Hashtbl.replace model vpn (pfn, Prot.read_write);
-      p.Pmap.enter ~va:(vpn * ps) ~pfn ~prot:Prot.read_write ~wired:false
-    | Remove (lo, n) ->
+  pmaps.(0).Pmap.activate ~cpu:0;
+  pmaps.(0).Pmap.activate ~cpu:1;
+  let rec apply = function
+    | Enter (i, vpn, pfn) ->
+      Hashtbl.replace models.(i) vpn (pfn, Prot.read_write);
+      pmaps.(i).Pmap.enter ~va:(vpn * ps) ~pfn ~prot:Prot.read_write
+        ~wired:false
+    | Remove (i, lo, n) ->
       for vpn = lo to lo + n - 1 do
-        Hashtbl.remove model vpn
+        Hashtbl.remove models.(i) vpn
       done;
-      p.Pmap.remove ~start_va:(lo * ps) ~end_va:((lo + n) * ps)
-    | Protect (lo, n) ->
+      pmaps.(i).Pmap.remove ~start_va:(lo * ps) ~end_va:((lo + n) * ps)
+    | Protect (i, lo, n) ->
       for vpn = lo to lo + n - 1 do
-        match Hashtbl.find_opt model vpn with
+        match Hashtbl.find_opt models.(i) vpn with
         | Some (pfn, prot) ->
-          Hashtbl.replace model vpn (pfn, Prot.inter prot Prot.read_only)
+          Hashtbl.replace models.(i) vpn (pfn, Prot.inter prot Prot.read_only)
         | None -> ()
       done;
-      p.Pmap.protect ~start_va:(lo * ps) ~end_va:((lo + n) * ps)
+      pmaps.(i).Pmap.protect ~start_va:(lo * ps) ~end_va:((lo + n) * ps)
         ~prot:Prot.read_only
+    | Collect i -> pmaps.(i).Pmap.collect ()
     | Touch (cpu, vpn) ->
       (try ignore (Machine.read_byte machine ~cpu ~va:(vpn * ps))
        with Machine.Memory_violation _ -> ())
+    | Switch (cpu, i) ->
+      pmaps.(active.(cpu)).Pmap.deactivate ~cpu;
+      active.(cpu) <- i;
+      pmaps.(i).Pmap.activate ~cpu
     | Batching on -> Pmap_domain.set_batching domain on
+    | Batch ops -> Pmap_domain.batched domain (fun () -> List.iter apply ops)
   in
   List.iter apply ops;
   let agreed = ref true in
   for cpu = 0 to 1 do
     List.iter
       (fun (e : Tlb.entry) ->
-         if e.Tlb.asid = p.Pmap.asid then
-           match p.Pmap.extract (e.Tlb.vpn * ps) with
-           | Some pfn when pfn = e.Tlb.pfn -> ()
-           | _ -> agreed := false)
+         Array.iter
+           (fun (p : Pmap.t) ->
+              if e.Tlb.asid = p.Pmap.asid then
+                match p.Pmap.extract (e.Tlb.vpn * ps) with
+                | Some pfn when pfn = e.Tlb.pfn -> ()
+                | _ -> agreed := false)
+           pmaps)
       (Machine.tlb_contents machine ~cpu)
   done;
   !agreed && (Machine.stats machine).Machine.stale_tlb_uses = 0
@@ -460,7 +561,9 @@ let () =
           Alcotest.test_case "promotes past the threshold" `Quick
             test_accumulator_promotes;
           Alcotest.test_case "threshold counts distinct pages" `Quick
-            test_accumulator_threshold_counts_distinct_pages ] );
+            test_accumulator_threshold_counts_distinct_pages;
+          Alcotest.test_case "reused page sets start empty" `Quick
+            test_accumulator_reuses_page_sets ] );
       ( "end_to_end",
         [ Alcotest.test_case "vm_protect: IPIs follow targets" `Quick
             test_protect_ipis_scale_with_targets;

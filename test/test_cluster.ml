@@ -216,18 +216,23 @@ let test_free_behind_skips_dirty () =
 (* Dirty 16 contiguous anonymous pages, evict everything, fault it all
    back: pageout must coalesce the runs into clustered writes, the swap
    pager must serve the clustered reads back, and every byte must
-   survive the round trip. *)
+   survive the round trip.  Every hardware frame of every page carries
+   its own stamp, so a frame copied to the wrong place in a cluster
+   buffer shows. *)
 let test_clustered_pageout_roundtrip () =
   let machine, kernel, sys = boot ~frames:1024 () in
   let task = new_task kernel in
   let ps = sys.Vm_sys.page_size in
+  let hw = Arch.uvax2.Arch.hw_page_size in
   let n = 16 in
   let addr = ok (Vm_user.allocate sys task ~size:(n * ps) ~anywhere:true ()) in
-  let pat i = Printf.sprintf "cluster-%02d" i in
-  for i = 0 to n - 1 do
-    Machine.write machine ~cpu:0 ~va:(addr + (i * ps))
-      (Bytes.of_string (pat i))
-  done;
+  let stamps = List.init n (fun i -> List.init (ps / hw) (fun f -> (i, f))) in
+  let va (i, f) = addr + (i * ps) + (f * hw) in
+  let pat (i, f) = Printf.sprintf "cluster-%02d-frame-%d" i f in
+  List.iter
+    (List.iter (fun s ->
+         Machine.write machine ~cpu:0 ~va:(va s) (Bytes.of_string (pat s))))
+    stamps;
   for _ = 1 to 6 do
     Vm_pageout.deactivate_some sys ~count:128;
     Vm_pageout.run sys ~wanted:128
@@ -236,13 +241,58 @@ let test_clustered_pageout_roundtrip () =
   Alcotest.(check bool) "writes were clustered" true
     (s.Vm_sys.clustered_pageouts >= 2);
   Alcotest.(check bool) "all pages paged out" true (s.Vm_sys.pageouts >= n);
-  for i = 0 to n - 1 do
-    let got =
-      Bytes.to_string
-        (Machine.read machine ~cpu:0 ~va:(addr + (i * ps))
-           ~len:(String.length (pat i)))
-    in
-    Alcotest.(check string) (Printf.sprintf "page %d" i) (pat i) got
+  List.iter
+    (List.iter (fun s ->
+         let got =
+           Machine.read machine ~cpu:0 ~va:(va s) ~len:(String.length (pat s))
+         in
+         Alcotest.(check string) (pat s) (pat s) (Bytes.to_string got)))
+    stamps
+
+(* The swap pager's range requests: a run is gathered from the requested
+   offset up to a hole or a short chunk, a length that is not a page
+   multiple takes part of the last chunk, nothing at the offset itself
+   is [Data_unavailable], and a clustered write is read back page by
+   page with the same bytes. *)
+let test_swap_pager_requests () =
+  let _machine, _kernel, sys = boot () in
+  let ps = sys.Vm_sys.page_size in
+  let pager = Swap_pager.make sys ~name:"swap-test" in
+  let page i = Bytes.init ps (fun b -> Char.chr ((i * 37 + b) land 0xff)) in
+  let run lo n =
+    Bytes.concat Bytes.empty (List.init n (fun k -> page (lo + k)))
+  in
+  let write ~at data =
+    match pager.Types.pgr_write ~offset:(at * ps) ~data with
+    | Types.Write_completed -> ()
+    | _ -> Alcotest.fail "swap write failed"
+  in
+  let request ~at ~length =
+    match pager.Types.pgr_request ~offset:(at * ps) ~length with
+    | Types.Data_provided d -> Some (Bytes.to_string d)
+    | Types.Data_unavailable -> None
+    | Types.Data_error -> Alcotest.fail "swap read failed"
+  in
+  let provided what expect got =
+    Alcotest.(check (option string)) what (Some (Bytes.to_string expect)) got
+  in
+  (* Pages 0-2 in one clustered write, page 5 alone, a short chunk at 8
+     followed by page 9. *)
+  write ~at:0 (run 0 3);
+  write ~at:5 (page 5);
+  write ~at:8 (Bytes.sub (page 8) 0 100);
+  write ~at:9 (page 9);
+  provided "a hole stops the gather" (run 0 3) (request ~at:0 ~length:(8 * ps));
+  provided "partial last chunk" (Bytes.sub (run 0 2) 0 (ps + 100))
+    (request ~at:0 ~length:(ps + 100));
+  provided "run from the middle" (run 1 2) (request ~at:1 ~length:(4 * ps));
+  provided "a short chunk stops the gather" (Bytes.sub (page 8) 0 100)
+    (request ~at:8 ~length:(2 * ps));
+  Alcotest.(check (option string)) "request at a hole" None
+    (request ~at:3 ~length:ps);
+  for i = 0 to 2 do
+    provided (Printf.sprintf "page %d read alone" i) (page i)
+      (request ~at:i ~length:ps)
   done
 
 (* ---- truncated clusters degrade, deterministically ----------------------- *)
@@ -599,7 +649,7 @@ let free_behind_never_eats_dirty =
                                   (fun f ->
                                      Mach_pmap.Pmap_domain.is_modified
                                        kernel.Kernel.domain
-                                       ~pfn:(p.Types.pfn + f))
+                                       ~pfn:(p.Types.pfn + f) ~frames:1)
                                   (List.init m Fun.id)))))
                (Resident.object_pages o)
          in
@@ -624,7 +674,9 @@ let () =
             test_free_behind_skips_dirty ] );
       ( "pageout",
         [ Alcotest.test_case "clustered round trip" `Quick
-            test_clustered_pageout_roundtrip ] );
+            test_clustered_pageout_roundtrip;
+          Alcotest.test_case "swap pager requests" `Quick
+            test_swap_pager_requests ] );
       ( "degrade",
         [ Alcotest.test_case "short cluster" `Quick
             test_short_cluster_degrades;

@@ -92,10 +92,74 @@ let test_remove_all arch =
     p2.Pmap.enter ~va:(4 * ps) ~pfn:9 ~prot:Prot.read_write ~wired:false;
   Alcotest.(check bool) "mapped" true
     (Pmap_domain.mapping_count domain ~pfn:9 >= 1);
-  Pmap_domain.remove_all domain ~pfn:9 ~urgent:true;
+  Pmap_domain.remove_all domain ~pfn:9 ~frames:1 ~urgent:true;
   Alcotest.(check int) "all gone" 0 (Pmap_domain.mapping_count domain ~pfn:9);
   Alcotest.(check (option int)) "p1 dropped" None (p1.Pmap.extract 0);
   Alcotest.(check (option int)) "p2 dropped" None (p2.Pmap.extract (4 * ps))
+
+(* The page-level operations act on a run of frames: here the 8 uVAX II
+   frames of one 4 KB machine-independent page, mapped in two pmaps (p1
+   active on CPU 0, p2 on CPU 1).  Each mapped frame is one exchange; an
+   unmapped run costs nothing. *)
+let test_page_run () =
+  let arch = Arch.uvax2 in
+  let machine, domain = setup arch in
+  let ps = page arch and base = 16 and frames = 8 in
+  let p1 = Pmap_domain.create_pmap domain in
+  let p2 = Pmap_domain.create_pmap domain in
+  p1.Pmap.activate ~cpu:0;
+  p2.Pmap.activate ~cpu:1;
+  for f = 0 to frames - 1 do
+    p1.Pmap.enter ~va:(f * ps) ~pfn:(base + f) ~prot:Prot.read_write
+      ~wired:false;
+    p2.Pmap.enter ~va:((64 + f) * ps) ~pfn:(base + f) ~prot:Prot.read_write
+      ~wired:false
+  done;
+  let pv_entries () =
+    List.fold_left ( + ) 0
+      (List.init frames (fun f ->
+           Pmap_domain.mapping_count domain ~pfn:(base + f)))
+  in
+  let bit test ~pfn = test domain ~pfn ~frames:1 in
+  Alcotest.(check int) "16 pv entries" 16 (pv_entries ());
+  Alcotest.(check bool) "clean page" false
+    (Pmap_domain.is_modified domain ~pfn:base ~frames);
+  Machine.set_fault_handler machine (fun ~cpu:_ _ ->
+      Alcotest.fail "unexpected fault");
+  Machine.write_byte machine ~cpu:0 ~va:(5 * ps) 'd';
+  Alcotest.(check bool) "one dirty frame dirties the page" true
+    (Pmap_domain.is_modified domain ~pfn:base ~frames);
+  Alcotest.(check bool) "frames before it are clean" false
+    (Pmap_domain.is_modified domain ~pfn:base ~frames:5);
+  for f = 0 to frames - 1 do
+    Machine.write_byte machine ~cpu:1 ~va:((64 + f) * ps) 'w'
+  done;
+  Pmap_domain.clear_modified domain ~pfn:base ~frames;
+  Pmap_domain.clear_referenced domain ~pfn:base ~frames;
+  for f = 0 to frames - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "frame %d bits cleared" f)
+      false
+      (bit Pmap_domain.is_modified ~pfn:(base + f)
+       || bit Pmap_domain.is_referenced ~pfn:(base + f))
+  done;
+  let cycles () =
+    Machine.cycles machine ~cpu:0 + Machine.cycles machine ~cpu:1
+  in
+  Machine.reset_clocks machine;
+  Pmap_domain.remove_all domain ~pfn:base ~frames ~urgent:false;
+  Alcotest.(check int) "all 16 pv entries dropped" 0 (pv_entries ());
+  Alcotest.(check int) "one shootdown per mapped frame" frames
+    (Machine.stats machine).Machine.shootdowns;
+  Alcotest.(check (option int)) "p1 unmapped" None (p1.Pmap.extract (7 * ps));
+  Alcotest.(check (option int)) "p2 unmapped" None
+    (p2.Pmap.extract (71 * ps));
+  Machine.reset_clocks machine;
+  Pmap_domain.remove_all domain ~pfn:base ~frames ~urgent:true;
+  Pmap_domain.copy_on_write domain ~pfn:base ~frames;
+  Alcotest.(check int) "unmapped run: no shootdown" 0
+    (Machine.stats machine).Machine.shootdowns;
+  Alcotest.(check int) "unmapped run: no cycles" 0 (cycles ())
 
 let test_protect_lowers arch =
   let machine, domain = setup arch in
@@ -130,7 +194,7 @@ let test_copy_on_write_all_maps arch =
   let p = Pmap_domain.create_pmap domain in
   p.Pmap.enter ~va:0 ~pfn:3 ~prot:Prot.read_write ~wired:false;
   p.Pmap.activate ~cpu:0;
-  Pmap_domain.copy_on_write domain ~pfn:3;
+  Pmap_domain.copy_on_write domain ~pfn:3 ~frames:1;
   let faulted = ref false in
   Machine.set_fault_handler machine (fun ~cpu:_ _ ->
       faulted := true;
@@ -182,20 +246,20 @@ let test_modify_reference_bits arch =
   p.Pmap.activate ~cpu:0;
   p.Pmap.enter ~va:0 ~pfn:4 ~prot:Prot.read_write ~wired:false;
   Alcotest.(check bool) "initially clean" false
-    (Pmap_domain.is_modified domain ~pfn:4);
+    (Pmap_domain.is_modified domain ~pfn:4 ~frames:1);
   ignore (Machine.read_byte machine ~cpu:0 ~va:0);
   Alcotest.(check bool) "referenced" true
-    (Pmap_domain.is_referenced domain ~pfn:4);
+    (Pmap_domain.is_referenced domain ~pfn:4 ~frames:1);
   Alcotest.(check bool) "not modified by read" false
-    (Pmap_domain.is_modified domain ~pfn:4);
+    (Pmap_domain.is_modified domain ~pfn:4 ~frames:1);
   Machine.write_byte machine ~cpu:0 ~va:0 'm';
   Alcotest.(check bool) "modified" true
-    (Pmap_domain.is_modified domain ~pfn:4);
-  Pmap_domain.clear_modified domain ~pfn:4;
-  Pmap_domain.clear_referenced domain ~pfn:4;
+    (Pmap_domain.is_modified domain ~pfn:4 ~frames:1);
+  Pmap_domain.clear_modified domain ~pfn:4 ~frames:1;
+  Pmap_domain.clear_referenced domain ~pfn:4 ~frames:1;
   Alcotest.(check bool) "cleared" false
-    (Pmap_domain.is_modified domain ~pfn:4
-     || Pmap_domain.is_referenced domain ~pfn:4)
+    (Pmap_domain.is_modified domain ~pfn:4 ~frames:1
+     || Pmap_domain.is_referenced domain ~pfn:4 ~frames:1)
 
 let test_activate_switches arch =
   let machine, domain = setup arch in
@@ -595,7 +659,9 @@ let () =
       ("remove", per_arch "remove range" test_remove_range);
       ("replace", per_arch "replace mapping" test_replace_mapping);
       ("destroy", per_arch "destroy clears pv" test_destroy_clears_pv);
-      ("remove_all", per_arch "remove_all" test_remove_all);
+      ( "remove_all",
+        per_arch "remove_all" test_remove_all
+        @ [ Alcotest.test_case "page run of 8 frames" `Quick test_page_run ] );
       ("protect", per_arch "protect lowers" test_protect_lowers);
       ( "copy_on_write",
         per_arch "pmap_copy_on_write" test_copy_on_write_all_maps );

@@ -68,6 +68,10 @@
 #     tracing-off timing cells above must still match BENCH_vm.json to
 #     the digit (attribution is free when no tracer is installed).
 #
+# And the host-time sampler: tools/hostprof must sample about 1 s of
+# mp_shared's measured phase and write non-empty folded stacks with at
+# least one pmap or VM frame in them.
+#
 # And, last, one comparison of every cell: a full bench run must write
 # all 249 cells string-equal to the committed BENCH_vm.json, names,
 # measured values and paper references alike.  The subset runs above stay:
@@ -88,7 +92,8 @@ st_out=$(mktemp /tmp/bench_smoke_st.XXXXXX.json)
 all_out=$(mktemp /tmp/bench_smoke_all.XXXXXX.json)
 all_cells=$(mktemp /tmp/bench_smoke_all_cells.XXXXXX)
 base_cells=$(mktemp /tmp/bench_smoke_base_cells.XXXXXX)
-trap 'rm -f "$out" "$chaos_out" "$cluster_out" "$run_a" "$run_b" "$prof_out" "$prof_stats" "$mp_out" "$pr_out" "$st_out" "$all_out" "$all_cells" "$base_cells"' EXIT
+folded=$(mktemp /tmp/bench_smoke_folded.XXXXXX)
+trap 'rm -f "$out" "$chaos_out" "$cluster_out" "$run_a" "$run_b" "$prof_out" "$prof_stats" "$mp_out" "$pr_out" "$st_out" "$all_out" "$all_cells" "$base_cells" "$folded"' EXIT
 
 dune exec bench/main.exe -- -e shootdown -json "$out" >/dev/null
 
@@ -698,6 +703,17 @@ if [ -z "$fb_events" ] || [ "$fb_events" -eq 0 ]; then
 fi
 rm -f "$run_a.stats" "$run_b.stats"
 
+# ---- host-time sampler ---------------------------------------------------
+dune exec tools/hostprof/hostprof.exe -- --workload mp_shared --seconds 1 \
+    -o "$folded" 2>/dev/null
+if [ ! -s "$folded" ]; then
+    echo "bench-smoke: FAIL hostprof wrote no stacks" >&2
+    fail=1
+elif ! grep -Eq 'Pmap|Vm_' "$folded"; then
+    echo "bench-smoke: FAIL hostprof stacks have no Pmap/Vm_ frame" >&2
+    fail=1
+fi
+
 # ---- every cell ----------------------------------------------------------
 # One full run, one cell per line, compared as strings with the committed
 # file: any drift in any experiment fails here, not only in the cells the
@@ -725,4 +741,4 @@ fi
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "bench-smoke: OK (24 shootdown cells at baseline, zero-overhead guards clean, chaos run deterministic with 0 corrupt pages — also under --numa 2, clustered read-ahead beats UNIX on cold reads and is free at cluster_max=1, async disk overlaps at w>=8 and replays under chaos, profiler conserves every cycle with 0 dropped events, mpfault scales on private objects and stalls on shared ones with burst=1 free to the digit, colored+pcpu allocator meets or beats the global queue at 8 CPUs with >90% NUMA locality, pressure sweep survives 4x overcommit with deterministic OOM kills, stream slots un-interfere 8 shared-file readers and are free to the digit for one, chaos replays with --streams 8 --free-behind, all 223 pre-stream cells intact, all 249 cells of a full run equal to BENCH_vm.json)"
+echo "bench-smoke: OK (24 shootdown cells at baseline, zero-overhead guards clean, chaos run deterministic with 0 corrupt pages — also under --numa 2, clustered read-ahead beats UNIX on cold reads and is free at cluster_max=1, async disk overlaps at w>=8 and replays under chaos, profiler conserves every cycle with 0 dropped events, mpfault scales on private objects and stalls on shared ones with burst=1 free to the digit, colored+pcpu allocator meets or beats the global queue at 8 CPUs with >90% NUMA locality, pressure sweep survives 4x overcommit with deterministic OOM kills, stream slots un-interfere 8 shared-file readers and are free to the digit for one, chaos replays with --streams 8 --free-behind, all 223 pre-stream cells intact, hostprof samples mp_shared, all 249 cells of a full run equal to BENCH_vm.json)"
