@@ -1193,8 +1193,6 @@ type mp_result = {
   mp_attr : (float * bool) option;
       (* traced runs only: (Lock_wait share of all cycles, per-CPU
          attribution sums equal the clocks) *)
-  mp_numa_local : int;        (* queue allocations from the home domain *)
-  mp_numa_borrows : int;      (* queue allocations borrowed cross-domain *)
   mp_steals : int;            (* pages stolen from another CPU's magazine *)
 }
 
@@ -1202,26 +1200,19 @@ type mp_result = {
    allocator exactly as booted — the scaling sweep and burst cells run
    there, so they are untouched by this table.  Every other variant
    turns on queue-lock contention simulation; [`Global] is the seed
-   topology with that cost made visible (the column to beat), and the
-   rest climb the hierarchy of the colored/per-CPU/NUMA allocator. *)
-let apply_alloc_variant machine sys = function
+   queue with that cost made visible (the column to beat), and [`Pcpu]
+   puts 8-page per-CPU magazines in front of it. *)
+let apply_alloc_variant sys = function
   | `Seed -> ()
   | `Global -> Resident.set_lock_sim sys.Vm_sys.resident true
-  | `Colored ->
-    Vm_sys.configure_allocator ~colors:16 sys;
-    Resident.set_lock_sim sys.Vm_sys.resident true
-  | `Colored_pcpu ->
-    Vm_sys.configure_allocator ~colors:16 ~cache:8 sys;
-    Resident.set_lock_sim sys.Vm_sys.resident true
-  | `Numa d ->
-    Machine.set_numa_domains machine d;
-    Vm_sys.configure_allocator ~colors:16 ~cache:8 sys;
+  | `Pcpu ->
+    Vm_sys.configure_allocator ~cache:8 sys;
     Resident.set_lock_sim sys.Vm_sys.resident true
 
 (* One configuration: [cpus] processors each faulting an identical
    per-CPU stream against one shared object (disjoint 32-page stripes)
-   or a private object per CPU, under burst limit [burst] (0 = the
-   pre-burst fault path).  The stream is a round-robin zero-fill sweep
+   or a private object per CPU, under burst limit [burst] (0 and 1 map
+   only the demand page).  The stream is a round-robin zero-fill sweep
    of the stripe — writer sections, so they contend on the shared
    object — followed by [rounds] rounds of dropping the pmap mappings
    and re-touching every page (resident fast reloads, where bursting
@@ -1233,7 +1224,7 @@ let mpfault_run ?(traced = false) ?(alloc = `Seed) ~cpus ~shared ~burst () =
   let machine, kernel, _, _ = boot_mach ~mem:(32 * mb) ~cpus Arch.vax8200 in
   let sys = Kernel.sys kernel in
   sys.Vm_sys.burst_max <- burst;
-  apply_alloc_variant machine sys alloc;
+  apply_alloc_variant sys alloc;
   let tr =
     if not traced then None
     else begin
@@ -1328,10 +1319,6 @@ let mpfault_run ?(traced = false) ?(alloc = `Seed) ~cpus ~shared ~burst () =
     mp_issued = s.Vm_sys.prefetch_issued;
     mp_hits = s.Vm_sys.prefetch_hits;
     mp_attr = attr;
-    mp_numa_local =
-      (Resident.counters sys.Vm_sys.resident).Resident.numa_local;
-    mp_numa_borrows =
-      (Resident.counters sys.Vm_sys.resident).Resident.numa_borrows;
     mp_steals =
       (Resident.counters sys.Vm_sys.resident).Resident.page_steals }
 
@@ -1373,10 +1360,10 @@ let mpfault () =
          [ false; true ])
     counts;
   Tablefmt.print t;
-  (* Burst ablation at a fixed CPU count: burst=0 is the pre-burst
-     fault path, burst=1 runs the burst machinery but maps only the
-     demand page (it must match burst=0 to the cycle), larger limits
-     amortize fault overhead and flush exchanges over neighbours. *)
+  (* Burst ablation at a fixed CPU count: burst=0 ("legacy") and
+     burst=1 map only the demand page (they must match to the cycle),
+     larger limits amortize fault overhead and flush exchanges over
+     neighbours. *)
   let bc = List.fold_left (fun a c -> if c <= 4 then max a c else a) 1 counts in
   let t2 =
     Tablefmt.create
@@ -1426,20 +1413,19 @@ let mpfault () =
        (if conserved then "ok" else "MISMATCH"));
   (* Free-page allocator ablation: the same shared-object interleave,
      burst=8, but with queue-lock contention simulated.  "global" is
-     the seed's single free queue with that cost made visible; colors
-     split it 16 ways, magazines batch the lock traffic 8 pages per
-     trip, and the NUMA split adds home-domain locality.  The scaling
+     the seed's single free queue with that cost made visible; per-CPU
+     magazines batch the lock traffic 8 pages per trip.  The scaling
      sweep above runs with the cost invisible ([`Seed]), so its cells
      are untouched by this table. *)
   let t3 =
     Tablefmt.create
       ~title:
         "Free-page allocator ablation (shared object, burst=8, queue-lock\n\
-         contention simulated): one global queue vs 16 colored queues vs\n\
-         colors + 8-page per-CPU magazines vs 2 NUMA domains on top"
+         contention simulated): one global queue vs the same queue behind\n\
+         8-page per-CPU magazines"
       ~columns:
         [ "CPUs"; "allocator"; "faults/sec"; "stall share"; "steals";
-          "local/borrowed"; "elapsed" ]
+          "elapsed" ]
   in
   List.iter
     (fun cpus ->
@@ -1453,33 +1439,10 @@ let mpfault () =
             Tablefmt.row t3
               [ string_of_int cpus; name; Printf.sprintf "%.0f" (fps r);
                 Printf.sprintf "%.1f%%" (100. *. r.mp_stall_share);
-                string_of_int r.mp_steals;
-                Printf.sprintf "%d/%d" r.mp_numa_local r.mp_numa_borrows;
-                fmt_ms r.mp_ms ])
-         [ ("global", `Global); ("colored", `Colored);
-           ("colored_pcpu", `Colored_pcpu); ("numa2", `Numa 2) ])
+                string_of_int r.mp_steals; fmt_ms r.mp_ms ])
+         [ ("global", `Global); ("pcpu", `Pcpu) ])
     counts;
   Tablefmt.print t3;
-  (* NUMA locality: private per-CPU objects under the 2-domain split.
-     Each CPU's demand is small against its home domain's share, so
-     nearly every allocation should stay local. *)
-  List.iter
-    (fun cpus ->
-       let r =
-         mpfault_run ~cpus ~shared:false ~burst:8 ~alloc:(`Numa 2) ()
-       in
-       let local_frac =
-         float_of_int r.mp_numa_local
-         /. float_of_int (max 1 (r.mp_numa_local + r.mp_numa_borrows))
-       in
-       cell
-         (Printf.sprintf "alloc/numa2/private/c%d/local_frac" cpus)
-         local_frac;
-       Printf.printf
-         "mpfault numa locality (%d CPUs, private, 2 domains): %.1f%% \
-          local (%d local, %d borrowed)\n"
-         cpus (100. *. local_frac) r.mp_numa_local r.mp_numa_borrows)
-    counts;
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -1512,7 +1475,7 @@ let pressure_run ?(traced = false) ?(alloc = `Seed) ~factor () =
   let machine, kernel, _, _ = boot_mach ~mem:pressure_mem Arch.uvax2 in
   let sys = Kernel.sys kernel in
   Vm_sys.set_swap_capacity sys (Some pressure_mem);
-  apply_alloc_variant machine sys alloc;
+  apply_alloc_variant sys alloc;
   let tr =
     if not traced then None
     else begin
@@ -1639,18 +1602,17 @@ let pressure () =
         conservation %s\n\n"
        (100. *. mw_share)
        (if conserved then "ok" else "MISMATCH"));
-  (* Allocator ablation under pressure: the colored + per-CPU hierarchy
-     must come through the reclaim/OOM gauntlet with the same policy
-     outcome — magazines are drained when pressure is declared, so
-     cached pages cannot strand below the watermarks and change who
-     gets killed. *)
+  (* Allocator ablation under pressure: the per-CPU magazines must come
+     through the reclaim/OOM gauntlet with the same policy outcome —
+     they are drained when pressure is declared, so cached pages cannot
+     strand below the watermarks and change who gets killed. *)
   let rs = pressure_run ~factor:3 () in
-  let rc = pressure_run ~alloc:`Colored_pcpu ~factor:3 () in
-  cell "alloc/colored_pcpu/x3/oom_kills" (float_of_int rc.pr_oom_kills);
-  cell "alloc/colored_pcpu/x3/survivors" (float_of_int rc.pr_survivors);
-  cell "alloc/colored_pcpu/x3/elapsed_ms" rc.pr_ms;
+  let rc = pressure_run ~alloc:`Pcpu ~factor:3 () in
+  cell "alloc/pcpu/x3/oom_kills" (float_of_int rc.pr_oom_kills);
+  cell "alloc/pcpu/x3/survivors" (float_of_int rc.pr_survivors);
+  cell "alloc/pcpu/x3/elapsed_ms" rc.pr_ms;
   Printf.printf
-    "pressure allocator ablation (3x, colored+pcpu): %d oom kills / %d \
+    "pressure allocator ablation (3x, pcpu): %d oom kills / %d \
      survivors (seed: %d / %d)\n\n"
     rc.pr_oom_kills rc.pr_survivors rs.pr_oom_kills rs.pr_survivors
 

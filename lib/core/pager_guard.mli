@@ -81,6 +81,3 @@ val write :
     keep the page dirty; [`No_space] reports a full backing store
     without burning retries or damaging the pager's health (the pager
     is fine, the disk is full). *)
-
-val pager_dead : Types.obj -> bool
-(** Whether the object's pager has been declared dead. *)

@@ -229,7 +229,7 @@ let single (sys : Vm_sys.t) obj ~offset =
   let ps = sys.Vm_sys.page_size in
   match Pager_guard.request sys obj ~offset ~length:ps with
   | `Data data ->
-    let p = Vm_sys.grab_page ~color:(offset / ps) sys in
+    let p = Vm_sys.grab_page sys in
     Resident.insert sys.Vm_sys.resident p ~obj ~offset;
     p.pg_busy <- true;
     Page_io.fill sys p data;
@@ -254,17 +254,15 @@ let install_tail (sys : Vm_sys.t) obj ~tail_off ~got ~data ~data_off
     ~inflight =
   let ps = sys.Vm_sys.page_size in
   let issued = ref 0 in
-  let alloc_above_reserve ~off =
+  let alloc_above_reserve () =
     if Resident.free_count sys.Vm_sys.resident > sys.Vm_sys.free_reserved
-    then
-      Resident.alloc ~cpu:(Vm_sys.current_cpu sys) ~color:(off / ps)
-        sys.Vm_sys.resident
+    then Resident.alloc ~cpu:(Vm_sys.current_cpu sys) sys.Vm_sys.resident
     else None
   in
   for i = 0 to got - 1 do
     let off = tail_off + (i * ps) in
     if Resident.lookup sys.Vm_sys.resident ~obj ~offset:off = None then
-      match alloc_above_reserve ~off with
+      match alloc_above_reserve () with
       | None -> ()
       | Some p ->
         Resident.insert sys.Vm_sys.resident p ~obj ~offset:off;
@@ -299,7 +297,7 @@ let pagein_sync (sys : Vm_sys.t) obj st ~stream ~offset ~n =
        ramp as if the full candidate window had been read. *)
     commit sys st ~stream ~next:(offset + (got * ps)) ~window:n;
     stats.Vm_sys.pager_reads <- stats.Vm_sys.pager_reads + 1;
-    let demand = Vm_sys.grab_page ~color:(offset / ps) sys in
+    let demand = Vm_sys.grab_page sys in
     Resident.insert sys.Vm_sys.resident demand ~obj ~offset;
     demand.pg_busy <- true;
     Page_io.fill sys demand data;

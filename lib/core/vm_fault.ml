@@ -26,7 +26,7 @@ let activate_page (sys : Vm_sys.t) p =
 
 (* Allocate a fresh page and give it an identity in [obj] at [offset]. *)
 let new_page_in (sys : Vm_sys.t) obj ~offset =
-  let p = Vm_sys.grab_page ~color:(offset / sys.Vm_sys.page_size) sys in
+  let p = Vm_sys.grab_page sys in
   Resident.insert sys.Vm_sys.resident p ~obj ~offset;
   p
 
@@ -253,10 +253,7 @@ let fault sys map ~va ~write =
          let prot =
            mapped_prot ~cow:(entry.e_needs_copy || owner.obj_readonly)
          in
-         let burst =
-           if sys.Vm_sys.burst_max = 0 then []
-           else collect_burst sys pmap entry first_obj ~page_va ~offset
-         in
+         let burst = collect_burst sys pmap entry first_obj ~page_va ~offset in
          if burst = [] then finish p ~prot
          else begin
            stats.Vm_sys.burst_faults <- stats.Vm_sys.burst_faults + 1;

@@ -62,20 +62,15 @@ type t = {
   mutable pmap_prewarm_on_fork : bool;
   mutable pager_objects : (int, Types.obj) Hashtbl.t;
   mutable reclaim : (t -> wanted:int -> unit) option;
-  mutable free_target : int;
-  mutable free_min : int;
+  free_target : int;
+  free_min : int;
       (* below this many free pages the system is under pressure:
          allocations start waiting on the daemon instead of merely
          triggering it *)
-  mutable free_reserved : int;
+  free_reserved : int;
       (* hard floor: only the pageout/cleaning path ([grab_page
          ~reserve:true]) may allocate out of the last [free_reserved]
          pages, so cleaning never deadlocks on needing a page *)
-  mutable alloc_backoff_cycles : int;
-      (* cycles one backpressure wait on the pageout daemon charges *)
-  mutable pageout_requeue_limit : int;
-      (* dirty-page requeues after failed writes before the daemon
-         escalates to the pressure state instead of spinning *)
   mutable swap_capacity : int option;
       (* bytes of backing store the swap pool may commit; [None] is
          unbounded (the pre-pressure behaviour) *)
@@ -87,9 +82,6 @@ type t = {
   mutable oom_candidates : oom_candidate list;
   mutable oom_exempt_map : int option;
       (* map id currently being faulted on; its task is never selected *)
-  mutable pager_retry_limit : int;
-  mutable pager_backoff_cycles : int;
-  mutable pager_death_threshold : int;
   mutable pager_decorator : (Types.pager -> Types.pager) option;
   mutable cluster_max : int;
       (* upper bound on the read-ahead / pageout cluster, in pages;
@@ -106,8 +98,7 @@ type t = {
          cycle clock, so [Machine.reset_clocks] cannot scramble it *)
   mutable burst_max : int;
       (* upper bound on pages a resident fault maps in one pass (demand
-         page included); 1 maps only the demand page, 0 bypasses the
-         burst machinery entirely (the pre-burst fault path) *)
+         page included); 1 (or 0) maps only the demand page *)
   burst_pending : (int, Types.page) Hashtbl.t;
       (* pfn -> burst-mapped page whose first touch has not happened
          yet; resolved by the pmap layer's first-touch hook so the
@@ -116,6 +107,20 @@ type t = {
 }
 
 exception Out_of_memory
+
+(* Cycles one backpressure wait on the pageout daemon charges. *)
+let alloc_backoff_cycles = 2000
+
+(* Dirty-page requeues after failed writes before the daemon escalates
+   to the pressure state instead of spinning. *)
+let pageout_requeue_limit = 3
+
+(* Transient pager failures retried per request, the base of the
+   exponential backoff charged between retries, and the consecutive
+   exhausted budgets before a pager is declared dead. *)
+let pager_retry_limit = 3
+let pager_backoff_cycles = 500
+let pager_death_threshold = 3
 
 let fresh_stats () =
   { faults = 0; zero_fills = 0; cow_copies = 0; pager_reads = 0;
@@ -194,16 +199,11 @@ let create ~machine ~domain ~page_multiple ?(object_cache_limit = 64) () =
     free_target = max 4 (total / 16);
     free_min = max 2 (total / 32);
     free_reserved = max 2 (total / 64);
-    alloc_backoff_cycles = 2000;
-    pageout_requeue_limit = 3;
     swap_capacity = None;
     swap_used = 0;
     mem_pressure = false;
     oom_candidates = [];
     oom_exempt_map = None;
-    pager_retry_limit = 3;
-    pager_backoff_cycles = 500;
-    pager_death_threshold = 3;
     pager_decorator = None;
     cluster_max = 8;
     stream_slots = 8;
@@ -241,20 +241,12 @@ let create ~machine ~domain ~page_multiple ?(object_cache_limit = 64) () =
   Machine.add_reset_hook machine (fun () -> Resident.reset_counters resident);
   t
 
-(* Rebuild the page allocator to match the machine's topology: NUMA
-   domains from [Machine.numa_domains], a magazine of [cache] pages per
-   CPU, [colors] colored queues per domain.  Per-domain borrow
-   thresholds re-derive from [free_min]: a domain is poor below its
-   equal share. *)
-let configure_allocator ?colors ?cache ?refill t =
-  let domains = Machine.numa_domains t.machine in
-  Resident.configure t.resident ?colors ~domains
-    ~cpus:(Machine.cpu_count t.machine) ?cache ?refill ();
-  Resident.set_free_min_share t.resident
-    (if domains > 1 then max 1 (t.free_min / domains) else 0)
+(* Give every CPU of the machine a magazine of [cache] pages (0 = off). *)
+let configure_allocator ~cache t =
+  Resident.configure t.resident ~cpus:(Machine.cpu_count t.machine) ~cache
 
 (* Declare or clear memory pressure.  Declaring it flushes the per-CPU
-   magazines back to the shared queues: pages cached for one CPU must
+   magazines back to the shared queue: pages cached for one CPU must
    not strand below [free_min] while the daemon or another CPU's
    backpressure wait starves. *)
 let set_mem_pressure t on =
@@ -348,13 +340,13 @@ let oom_kill t =
     victim.oc_kill ();
     (* The kill freed memory (and possibly swap): pressure is relieved
        until pageout reports otherwise.  Magazines are flushed so every
-       page the kill liberated is visible on the shared queues to
+       page the kill liberated is visible on the shared queue to
        whoever was starving. *)
     Resident.drain_caches t.resident;
     t.mem_pressure <- false;
     true
 
-let grab_page ?(reserve = false) ?color t =
+let grab_page ?(reserve = false) t =
   let try_reclaim wanted =
     match t.reclaim with
     | None -> ()
@@ -365,12 +357,12 @@ let grab_page ?(reserve = false) ?color t =
   (* Only the pageout/cleaning path may dip into the reserve; ordinary
      allocations treat the free list as empty at [free_reserved].  The
      floor is global: magazine-cached pages count toward [free_count]
-     and the allocator steals them back when the queues run dry, so the
+     and the allocator steals them back when the queue runs dry, so the
      reserve cannot be hidden inside a magazine. *)
   let floor_pages = if reserve then 0 else t.free_reserved in
   let take () =
     if Resident.free_count t.resident > floor_pages then
-      Resident.alloc ~cpu:(current_cpu t) ?color t.resident
+      Resident.alloc ~cpu:(current_cpu t) t.resident
     else None
   in
   match take () with
@@ -393,11 +385,11 @@ let grab_page ?(reserve = false) ?color t =
       | Some p -> result := Some p
       | None ->
         (* The wait path is the one place a free-accounting leak would
-           deadlock the system, so audit the hierarchy here: free_count
+           deadlock the system, so audit the free pages here: free_count
            must equal queued plus magazine-cached pages exactly. *)
         assert (Resident.check_conservation t.resident);
         let free = Resident.free_count t.resident in
-        let backoff = t.alloc_backoff_cycles in
+        let backoff = alloc_backoff_cycles in
         stats.alloc_waits <- stats.alloc_waits + 1;
         stats.alloc_wait_cycles <- stats.alloc_wait_cycles + backoff;
         charge_cat t Mach_obs.Obs.Mem_wait backoff;

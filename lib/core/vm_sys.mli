@@ -104,21 +104,16 @@ type t = {
   mutable reclaim : (t -> wanted:int -> unit) option;
       (** pageout hook, installed by {!Vm_pageout}; called when the free
           list runs low *)
-  mutable free_target : int;       (** keep at least this many pages free;
+  free_target : int;               (** keep at least this many pages free;
                                        reclaim aims here *)
-  mutable free_min : int;
+  free_min : int;
       (** below this many free pages the system is under pressure:
           allocations start waiting on the daemon instead of merely
           triggering it (free_reserved <= free_min <= free_target) *)
-  mutable free_reserved : int;
+  free_reserved : int;
       (** hard floor: only [grab_page ~reserve:true] (the pageout/
           cleaning path) may allocate out of the last [free_reserved]
           pages, so cleaning never deadlocks on needing a page *)
-  mutable alloc_backoff_cycles : int;
-      (** cycles one backpressure wait on the pageout daemon charges *)
-  mutable pageout_requeue_limit : int;
-      (** failed-write requeues per dirty page before the daemon
-          escalates to the pressure state instead of spinning *)
   mutable swap_capacity : int option;
       (** bytes the swap pool may commit; [None] is unbounded *)
   mutable swap_used : int;         (** bytes currently committed to swap *)
@@ -130,13 +125,6 @@ type t = {
   mutable oom_exempt_map : int option;
       (** map id currently being faulted on ({!Vm_fault} maintains it);
           its task is never selected as the OOM victim *)
-  mutable pager_retry_limit : int;
-      (** transient pager failures retried per request before giving up *)
-  mutable pager_backoff_cycles : int;
-      (** base of the exponential backoff charged between retries *)
-  mutable pager_death_threshold : int;
-      (** consecutive exhausted retry budgets before a pager is declared
-          dead and its object degrades ({!Pager_guard}) *)
   mutable pager_decorator : (Types.pager -> Types.pager) option;
       (** interposition hook applied when the kernel itself creates a
           pager (the pageout daemon's default pager); [machsim --chaos]
@@ -159,8 +147,7 @@ type t = {
           scramble the victim order *)
   mutable burst_max : int;
       (** upper bound on pages a resident fault maps in one pass, demand
-          page included; 1 maps only the demand page, 0 bypasses the
-          burst machinery entirely (the pre-burst fault path) *)
+          page included; 1 (or 0) maps only the demand page *)
   burst_pending : (int, Types.page) Hashtbl.t;
       (** burst-mapped pages (keyed by hardware frame) whose first touch
           has not happened yet; resolved by the pmap layer's first-touch
@@ -172,6 +159,23 @@ exception Out_of_memory
 (** Raised when a page is needed, backpressure made no progress, and the
     OOM policy found no viable victim (every candidate exempt or without
     resident pages). *)
+
+val alloc_backoff_cycles : int
+(** Cycles one backpressure wait on the pageout daemon charges (2000). *)
+
+val pageout_requeue_limit : int
+(** Failed-write requeues per dirty page before the daemon escalates to
+    the pressure state instead of spinning (3). *)
+
+val pager_retry_limit : int
+(** Transient pager failures retried per request before giving up (3). *)
+
+val pager_backoff_cycles : int
+(** Base of the exponential backoff charged between retries (500). *)
+
+val pager_death_threshold : int
+(** Consecutive exhausted retry budgets before a pager is declared dead
+    and its object degrades ({!Pager_guard}) (3). *)
 
 val create :
   machine:Mach_hw.Machine.t -> domain:Mach_pmap.Pmap_domain.t ->
@@ -185,7 +189,7 @@ val frames : t -> int
     [Resident.multiple]): the [~frames] of every page-level
     {!Mach_pmap.Pmap_domain} operation. *)
 
-val grab_page : ?reserve:bool -> ?color:int -> t -> Types.page
+val grab_page : ?reserve:bool -> t -> Types.page
 (** [grab_page t] allocates a free page, invoking the pageout hook if the
     free list is low.  Ordinary allocations never take the free list
     below [free_reserved]; at the floor they wait on the daemon
@@ -196,25 +200,18 @@ val grab_page : ?reserve:bool -> ?color:int -> t -> Types.page
     pageout/cleaning path's privilege — may dip into the reserve down to
     an empty list.  The reserve floor is global: pages cached in per-CPU
     magazines still count as free and are stolen back when the shared
-    queues run dry.  [color] is the preferred page color (any int;
-    reduced mod the configured colors), typically the faulting page's
-    index so consecutive virtual pages land in distinct cache bins.  The
-    returned page is on no queue and in no object. *)
+    queue runs dry.  The returned page is on no queue and in no
+    object. *)
 
-val configure_allocator :
-  ?colors:int -> ?cache:int -> ?refill:int -> t -> unit
-(** Rebuild the page allocator to match the machine's topology: NUMA
-    domains from {!Mach_hw.Machine.numa_domains} (CPUs round-robin
-    across them), a per-CPU magazine of [cache] pages (0 = off),
-    [colors] colored queues per domain, [refill] pages per magazine
-    refill/drain batch.  Free pages are re-bucketed; per-domain borrow
-    thresholds re-derive from [free_min] (a domain is poor below its
-    equal share).  Call after {!Mach_hw.Machine.set_numa_domains}. *)
+val configure_allocator : cache:int -> t -> unit
+(** [configure_allocator ~cache t] gives every CPU of the machine a
+    magazine of [cache] pages (0 = off) in front of the shared free
+    queue ({!Resident.configure}). *)
 
 val set_mem_pressure : t -> bool -> unit
 (** Declare or clear the memory-pressure state ([mem_pressure]).
     Declaring it drains every per-CPU magazine back to the shared
-    queues, so pages cached for one CPU cannot strand below [free_min]
+    queue, so pages cached for one CPU cannot strand below [free_min]
     while the daemon or another CPU's backpressure wait starves. *)
 
 val set_swap_capacity : t -> int option -> unit

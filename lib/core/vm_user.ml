@@ -42,12 +42,8 @@ type statistics = {
   vs_fast_reloads : int;
   vs_rmw_bug_upgrades : int;
   vs_pager_failures : int;
-  vs_color_hits : int;
-  vs_color_misses : int;
   vs_pcpu_hits : int;
   vs_pcpu_refills : int;
-  vs_numa_local : int;
-  vs_numa_borrows : int;
   vs_page_steals : int;
 }
 
@@ -222,11 +218,7 @@ let statistics (sys : Vm_sys.t) =
     vs_fast_reloads = s.Vm_sys.fast_reloads;
     vs_rmw_bug_upgrades = s.Vm_sys.rmw_bug_upgrades;
     vs_pager_failures = s.Vm_sys.pager_failures;
-    vs_color_hits = (Resident.counters res).Resident.color_hits;
-    vs_color_misses = (Resident.counters res).Resident.color_misses;
     vs_pcpu_hits = (Resident.counters res).Resident.pcpu_hits;
     vs_pcpu_refills = (Resident.counters res).Resident.pcpu_refills;
-    vs_numa_local = (Resident.counters res).Resident.numa_local;
-    vs_numa_borrows = (Resident.counters res).Resident.numa_borrows;
     vs_page_steals = (Resident.counters res).Resident.page_steals;
   }

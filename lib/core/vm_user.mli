@@ -46,12 +46,8 @@ type statistics = {
   vs_fast_reloads : int;
   vs_rmw_bug_upgrades : int;
   vs_pager_failures : int;
-  vs_color_hits : int;
-  vs_color_misses : int;
   vs_pcpu_hits : int;
   vs_pcpu_refills : int;
-  vs_numa_local : int;
-  vs_numa_borrows : int;
   vs_page_steals : int;
 }
 (** What [vm_statistics] reports.  [vs_pager_retries] through
@@ -79,15 +75,11 @@ type statistics = {
     shadow chains collapsed away, faults resolved from a still-resident
     page without pager traffic, read-modify-write protection upgrades,
     and pager requests that returned errors.  The allocator counters
-    describe the colored per-CPU free-page allocator:
-    [vs_color_hits]/[vs_color_misses] are allocations served from the
-    requested color queue vs. widened to a neighbour,
-    [vs_pcpu_hits]/[vs_pcpu_refills] per-CPU magazine hits and batch
-    refill trips to the shared queues, [vs_numa_local]/[vs_numa_borrows]
-    queue allocations satisfied by the faulting CPU's home NUMA domain
-    vs. borrowed cross-domain, and [vs_page_steals] pages stolen from
-    another CPU's magazine when the shared queues ran dry.  All are
-    zero under the default single-queue configuration. *)
+    describe the per-CPU magazines in front of the shared free queue:
+    [vs_pcpu_hits]/[vs_pcpu_refills] are magazine hits and batch refill
+    trips to the shared queue, and [vs_page_steals] pages stolen from
+    another CPU's magazine when the shared queue ran dry.  All are zero
+    with magazines off (the default). *)
 
 val allocate :
   Vm_sys.t -> Task.t -> ?at:int -> size:int -> anywhere:bool -> unit ->

@@ -27,10 +27,6 @@ val stats_json : ?extra:(string * Jout.t) list -> Obs.t -> Jout.t
 val write_stats :
   path:string -> ?extra:(string * Jout.t) list -> Obs.t -> unit
 
-val summary_tables : Obs.t -> Mach_util.Tablefmt.t list
-(** Human-readable rendering of the same aggregates: an event-count
-    table and a latency-percentile table. *)
-
 val print_summary : Obs.t -> unit
 
 (** {1 Cycle attribution}

@@ -353,13 +353,6 @@ let attr_depth t ~cpu =
 let attr_reset_totals t =
   Array.iter (fun a -> Array.fill a.at_totals 0 category_count 0) t.attrs
 
-let open_span t ~cpu =
-  if cpu < Array.length t.attrs then begin
-    let a = t.attrs.(cpu) in
-    if a.at_span_depth > 0 then a.at_spans.(a.at_span_depth - 1) else 0
-  end
-  else 0
-
 let top_spans t = t.top_spans
 
 let note_top_span t sp =

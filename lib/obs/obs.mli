@@ -239,9 +239,6 @@ val top_spans : t -> span_info list
 (** Completed fault spans with the largest service time, biggest first
     (at most {!top_span_cap}). *)
 
-val open_span : t -> cpu:int -> int
-(** Innermost open fault span id on [cpu]; 0 when none. *)
-
 (** {1 Reading back} *)
 
 val ring : t -> record Ring.t

@@ -41,8 +41,6 @@ val set_injector : t -> Mach_fail.Fail.t option -> unit
 
 val block_size : t -> int
 
-val queue_count : t -> int
-
 val read : t -> cpu:int -> block:int -> Bytes.t
 (** [read t ~cpu ~block] returns the block's contents (zeros if never
     written), charging disk cost to [cpu]. *)

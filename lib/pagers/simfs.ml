@@ -249,4 +249,3 @@ let submit_write t ~cpu ~name ~offset ~data =
 
 let delete t ~name = Hashtbl.remove t.table name
 
-let files t = Hashtbl.fold (fun name _ acc -> name :: acc) t.table []

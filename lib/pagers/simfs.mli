@@ -54,4 +54,3 @@ val submit_write :
 
 val delete : t -> name:string -> unit
 
-val files : t -> string list

@@ -90,8 +90,6 @@ let remove t n =
 
 let first t = t.head
 
-let last t = t.tail
-
 let next n = n.next
 
 let prev n = n.prev

@@ -45,9 +45,6 @@ val remove : 'a t -> 'a node -> unit
 val first : 'a t -> 'a node option
 (** [first t] is the head node, if any. *)
 
-val last : 'a t -> 'a node option
-(** [last t] is the tail node, if any. *)
-
 val next : 'a node -> 'a node option
 (** [next n] is the node after [n] in its list. *)
 

@@ -1,14 +1,12 @@
-(* The colored per-CPU/NUMA free-page allocator.
+(* The free-page allocator: one shared FIFO behind per-CPU magazines.
 
-   The contracts under test: the free hierarchy never loses or invents
-   a page no matter how traffic, reconfiguration and magazine drains
-   interleave (conservation); a color hint is honoured while its queue
-   is stocked and widens — still succeeding — once it runs dry;
-   cross-domain borrowing kicks in exactly when the local domain is
-   exhausted and replays identically; magazines flush back to the
-   shared queues when memory pressure is declared; and the explicit
-   flat configuration (one domain, one color, no magazines) is byte-
-   and cycle-identical to the untouched seed allocator. *)
+   The contracts under test: the free pages are never lost or invented
+   no matter how traffic, reconfiguration and magazine drains
+   interleave (conservation); a CPU whose magazine and the shared queue
+   are both dry steals from another CPU's magazine, and such a run
+   replays identically; magazines flush back to the shared queue when
+   memory pressure is declared; and explicitly configuring magazines
+   off is byte- and cycle-identical to the untouched seed allocator. *)
 
 open Mach_hw
 open Mach_core
@@ -25,15 +23,12 @@ let boot ?(frames = 2048) ?(cpus = 1) () =
   let kernel = Kernel.create ~page_multiple:8 machine in
   (machine, kernel, Kernel.sys kernel)
 
-(* Machine-independent frame color under [colors] queues. *)
-let color_of res p colors = Types.(p.pfn) / Resident.multiple res land (colors - 1)
-
 (* ---- qcheck: conservation ------------------------------------------------ *)
 
-(* Random streams of allocations (any CPU, any color hint), frees (to
-   any CPU's magazine), magazine drains and live reconfigurations.
-   After every single step the hierarchy must account for exactly
-   [total - held] free pages and pass the structural audit. *)
+(* Random streams of allocations (any CPU), frees (to any CPU's
+   magazine), magazine drains and live reconfigurations.  After every
+   single step the allocator must account for exactly [total - held]
+   free pages and pass the structural audit. *)
 let ops_gen =
   QCheck2.Gen.(
     list_size (int_range 1 120)
@@ -45,7 +40,7 @@ let conservation =
     (fun ops ->
        let _, _, sys = boot () in
        let res = sys.Vm_sys.resident in
-       Resident.configure res ~colors:4 ~domains:2 ~cpus:4 ~cache:4 ();
+       Resident.configure res ~cpus:4 ~cache:4;
        let total = Resident.total_pages res in
        let held = ref [] in
        let nheld = ref 0 in
@@ -53,7 +48,7 @@ let conservation =
          (fun (tag, cpu, k) ->
             (match tag with
              | 0 | 1 | 2 ->
-               (match Resident.alloc ~cpu ~color:k res with
+               (match Resident.alloc ~cpu res with
                 | Some p ->
                   held := p :: !held;
                   incr nheld
@@ -67,89 +62,73 @@ let conservation =
                   Resident.free_page ~cpu res p)
              | 5 -> Resident.drain_caches res
              | _ ->
-               Resident.configure res ~colors:(1 lsl (k land 3))
-                 ~domains:(1 + (cpu land 1)) ~cpus:4
-                 ~cache:(if k land 4 = 0 then 0 else 4) ());
+               Resident.configure res ~cpus:(1 + (k land 3))
+                 ~cache:(if k land 4 = 0 then 0 else 4));
             Resident.check_conservation res
             && Resident.free_count res = total - !nheld)
          ops)
 
-(* ---- color affinity ------------------------------------------------------ *)
+(* ---- magazine steals ------------------------------------------------------ *)
 
-(* With 8 colors, every page of color 5 is handed out under hint 5
-   before the search ever widens; the next hint-5 allocation still
-   succeeds, off-color, and is counted as a miss. *)
-let test_color_affinity () =
-  let _, _, sys = boot () in
-  let res = sys.Vm_sys.resident in
-  Resident.configure res ~colors:8 ();
-  let c = 5 in
-  let stock = ref 0 in
-  Resident.iter_free res (fun p ->
-      if color_of res p 8 = c then incr stock);
-  Alcotest.(check bool) "color 5 is stocked" true (!stock > 0);
-  for _ = 1 to !stock do
-    let p = Option.get (Resident.alloc ~color:c res) in
-    Alcotest.(check int) "hint honoured while stocked" c (color_of res p 8)
-  done;
-  let k = Resident.counters res in
-  Alcotest.(check int) "all hits so far" !stock k.Resident.color_hits;
-  Alcotest.(check int) "no misses yet" 0 k.Resident.color_misses;
-  let p = Option.get (Resident.alloc ~color:c res) in
-  Alcotest.(check bool) "widened off-color" true (color_of res p 8 <> c);
-  Alcotest.(check int) "counted as a miss" 1 k.Resident.color_misses
-
-(* ---- cross-domain borrowing ---------------------------------------------- *)
-
-(* CPU 0 and CPU 1 home on domains 0 and 1 of a two-domain split.  A
-   seeded LCG interleaves allocations and frees on both CPUs until
-   domain 0 runs dry and CPU 0 starts borrowing.  The whole run —
-   the pfn sequence and every counter — must replay identically. *)
-let borrow_run seed =
-  let _, _, sys = boot () in
-  let res = sys.Vm_sys.resident in
-  Resident.configure res ~colors:2 ~domains:2 ~cpus:2 ();
+(* Two CPUs with 4-page magazines on a 32-page machine.  A seeded LCG
+   mixes allocations and frees on both CPUs, mostly allocations, so the
+   shared queue runs dry while the other CPU's magazine still holds
+   pages and allocation has to steal.  The whole run — the pfn sequence
+   and every counter — must replay identically. *)
+let steal_run seed =
+  let machine =
+    Machine.create ~arch:Arch.uvax2 ~memory_frames:256 ~cpus:2 ()
+  in
+  let res = Resident.create ~phys:(Machine.phys machine) ~multiple:8 () in
+  Resident.configure res ~cpus:2 ~cache:4;
+  let total = Resident.total_pages res in
   let rng = ref seed in
   let next bound =
     rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
-    !rng mod bound
+    (* The low bits of a power-of-two LCG have tiny periods. *)
+    (!rng lsr 16) mod bound
   in
   let held = ref [] in
+  let nheld = ref 0 in
   let pfns = ref [] in
+  let conserved = ref true in
   for _ = 1 to 400 do
-    if next 4 = 0 then (
-      match !held with
-      | [] -> ()
-      | p :: rest ->
-        held := rest;
-        Resident.free_page ~cpu:(next 2) res p)
-    else
-      match Resident.alloc ~cpu:0 ~color:(next 2) res with
-      | Some p ->
-        held := p :: !held;
-        pfns := Types.(p.pfn) :: !pfns
-      | None -> ()
+    (if next 4 = 0 then (
+       match !held with
+       | [] -> ()
+       | p :: rest ->
+         held := rest;
+         decr nheld;
+         Resident.free_page ~cpu:(next 2) res p)
+     else
+       match Resident.alloc ~cpu:(next 2) res with
+       | Some p ->
+         held := p :: !held;
+         incr nheld;
+         pfns := Types.(p.pfn) :: !pfns
+       | None -> ());
+    if not (Resident.check_conservation res
+            && Resident.free_count res = total - !nheld)
+    then conserved := false
   done;
   let k = Resident.counters res in
-  ( !pfns, k.Resident.numa_local, k.Resident.numa_borrows,
-    Resident.domain_free res 0, Resident.domain_free res 1 )
+  ( !pfns, !conserved,
+    (k.Resident.pcpu_hits, k.Resident.pcpu_refills, k.Resident.page_steals) )
 
-let test_borrow_deterministic () =
-  let pfns1, local1, borrows1, d0, _ = borrow_run 42 in
-  let pfns2, local2, borrows2, _, _ = borrow_run 42 in
-  Alcotest.(check bool) "domain 0 ran dry" true (d0 = 0 || borrows1 > 0);
-  Alcotest.(check bool) "borrowing happened" true (borrows1 > 0);
-  Alcotest.(check bool) "local allocations happened" true (local1 > 0);
+let test_steal_deterministic () =
+  let pfns1, conserved, ((_, _, steals) as k1) = steal_run 42 in
+  let pfns2, _, k2 = steal_run 42 in
+  Alcotest.(check bool) "steals happened" true (steals > 0);
+  Alcotest.(check bool) "conserved at every step" true conserved;
   Alcotest.(check (list int)) "replay-identical pfn sequence" pfns1 pfns2;
-  Alcotest.(check int) "replay-identical locals" local1 local2;
-  Alcotest.(check int) "replay-identical borrows" borrows1 borrows2
+  Alcotest.(check (triple int int int)) "replay-identical counters" k1 k2
 
 (* ---- magazine drain on pressure ------------------------------------------ *)
 
 let test_pressure_drains_magazines () =
   let _, _, sys = boot () in
   let res = sys.Vm_sys.resident in
-  Resident.configure res ~cache:8 ~cpus:1 ();
+  Resident.configure res ~cpus:1 ~cache:8;
   let held =
     List.init 8 (fun _ -> Option.get (Resident.alloc ~cpu:0 res))
   in
@@ -162,15 +141,12 @@ let test_pressure_drains_magazines () =
 (* ---- flat configuration is the seed allocator ----------------------------- *)
 
 (* Zero-fill 24 pages, drop the mappings, touch them all again, read
-   everything back.  Explicitly configuring the flat topology (--numa 1,
-   one color, no magazines) must be indistinguishable — bytes, clock,
-   fault count — from never touching the allocator at all. *)
+   everything back.  Explicitly configuring magazines off must be
+   indistinguishable — bytes, clock, fault count — from never touching
+   the allocator at all. *)
 let ident_run ~configure =
   let machine, kernel, sys = boot () in
-  if configure then begin
-    Machine.set_numa_domains machine 1;
-    Vm_sys.configure_allocator ~colors:1 ~cache:0 sys
-  end;
+  if configure then Vm_sys.configure_allocator ~cache:0 sys;
   let task = Kernel.create_task kernel () in
   Kernel.run_task kernel ~cpu:0 task;
   let ps = sys.Vm_sys.page_size in
@@ -203,15 +179,11 @@ let test_flat_is_seed () =
 
 let () =
   Alcotest.run "alloc"
-    [ ( "color",
-        [ Alcotest.test_case "affinity holds until the queue is dry" `Quick
-            test_color_affinity ] );
-      ( "numa",
-        [ Alcotest.test_case "borrowing replays identically" `Quick
-            test_borrow_deterministic ] );
-      ( "magazines",
+    [ ( "magazines",
         [ Alcotest.test_case "pressure drains per-CPU caches" `Quick
-            test_pressure_drains_magazines ] );
+            test_pressure_drains_magazines;
+          Alcotest.test_case "steals replay identically" `Quick
+            test_steal_deterministic ] );
       ( "identity",
         [ Alcotest.test_case "flat config matches the seed allocator" `Quick
             test_flat_is_seed ] );

@@ -453,7 +453,7 @@ let test_bounded_retries_then_error () =
    | Error Kr.Memory_error -> ()
    | Ok _ | Error _ -> Alcotest.fail "expected KERN_MEMORY_ERROR");
   Alcotest.(check int) "exactly the retry budget was spent"
-    sys.Vm_sys.pager_retry_limit stats.Vm_sys.pager_retries;
+    Vm_sys.pager_retry_limit stats.Vm_sys.pager_retries;
   (* Two more exhausted budgets reach the death threshold. *)
   ignore (read ());
   ignore (read ());

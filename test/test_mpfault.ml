@@ -1,8 +1,8 @@
 (* Object locking and burst faulting.
 
    The contracts under test: the lock layer is cycle-invisible on one
-   CPU and burst=1 (machinery on, demand page only) is byte- and
-   cycle-identical to burst=0 (the pre-burst fault path); bursting at
+   CPU and burst=1 (demand page only) is byte- and cycle-identical to
+   burst=0; bursting at
    any width is invisible to data; burst-mapped neighbours are counted
    as prefetch and their first touch as a hit even though they never
    fault; and multi-CPU lock stalls are deterministic — replay-identical
@@ -98,8 +98,8 @@ let ops_gen =
   QCheck2.Gen.(
     list_size (int_range 1 24) (pair (int_range 0 15) (int_range 0 2)))
 
-(* burst=1 runs the burst machinery but collects no neighbours: it must
-   be indistinguishable from the pre-burst fault path, to the cycle. *)
+(* burst=0 and burst=1 both collect no neighbours: the two runs must be
+   indistinguishable, to the cycle. *)
 let burst1_is_legacy =
   QCheck2.Test.make ~name:"burst=1 byte- and cycle-identical to burst=0"
     ~count:40 ops_gen

@@ -69,7 +69,7 @@ let test_swap_exhaustion_escalates () =
     | Some (o, _) -> Option.get (Vm_object.lookup_resident sys o ~offset:0)
     | None -> Alcotest.fail "no object"
   in
-  for _ = 1 to 2 + sys.Vm_sys.pageout_requeue_limit do
+  for _ = 1 to 2 + Vm_sys.pageout_requeue_limit do
     Vm_pageout.deactivate_some sys ~count:16;
     Vm_pageout.run sys ~wanted:16
   done;

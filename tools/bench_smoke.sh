@@ -54,7 +54,7 @@
 #   - machsim --chaos must replay identically with --streams 8
 #     --free-behind on, stdout and stats JSON both;
 #   - every streams cell must match the committed BENCH_vm.json to the
-#     digit, and the 223 cells that predate the streams experiment must
+#     digit, and the 198 cells that predate the streams experiment must
 #     all still be present in the committed file.
 #
 # And the cycle-attribution profiler:
@@ -73,7 +73,7 @@
 # least one pmap or VM frame in them.
 #
 # And, last, one comparison of every cell: a full bench run must write
-# all 249 cells string-equal to the committed BENCH_vm.json, names,
+# all 224 cells string-equal to the committed BENCH_vm.json, names,
 # measured values and paper references alike.  The subset runs above stay:
 # they also show that each subset replays independently of the rest.
 set -eu
@@ -329,22 +329,22 @@ if ! cmp -s "$run_a.stats" "$run_b.stats"; then
 fi
 rm -f "$run_a.stats" "$run_b.stats"
 
-# And with the NUMA/colored/per-CPU allocator widened: the hierarchy
-# sits on the same virtual clocks, so chaos injection must still replay
+# And with per-CPU magazines in front of the free queue: they sit on
+# the same virtual clocks, so chaos injection must still replay
 # identically, stdout and stats JSON both.
-dune exec bin/machsim.exe -- compile --chaos 42:flaky --numa 2 --colors 16 \
-    --alloc-cache 8 --stats "$run_a.stats" 2>&1 |
+dune exec bin/machsim.exe -- compile --chaos 42:flaky --alloc-cache 8 \
+    --stats "$run_a.stats" 2>&1 |
     grep -v '^stats: ->' >"$run_a"
-dune exec bin/machsim.exe -- compile --chaos 42:flaky --numa 2 --colors 16 \
-    --alloc-cache 8 --stats "$run_b.stats" 2>&1 |
+dune exec bin/machsim.exe -- compile --chaos 42:flaky --alloc-cache 8 \
+    --stats "$run_b.stats" 2>&1 |
     grep -v '^stats: ->' >"$run_b"
 if ! cmp -s "$run_a" "$run_b"; then
-    echo "bench-smoke: FAIL machsim --chaos --numa 2 is not replay-identical" >&2
+    echo "bench-smoke: FAIL machsim --chaos --alloc-cache 8 is not replay-identical" >&2
     diff "$run_a" "$run_b" >&2 || true
     fail=1
 fi
 if ! cmp -s "$run_a.stats" "$run_b.stats"; then
-    echo "bench-smoke: FAIL machsim --chaos --numa 2 stats JSON differs between replays" >&2
+    echo "bench-smoke: FAIL machsim --chaos --alloc-cache 8 stats JSON differs between replays" >&2
     fail=1
 fi
 rm -f "$run_a.stats" "$run_b.stats"
@@ -465,11 +465,11 @@ if ! awk "BEGIN { exit !($b8 < $b_legacy) }"; then
 fi
 
 # ---- free-page allocator ablation ----------------------------------------
-# Every allocator variant's cells must be present, and the hierarchy
-# must actually pay off where contention bites: at 8 CPUs the colored +
-# per-CPU-magazine allocator must meet or beat the single contended
+# Every allocator variant's cells must be present, and the magazines
+# must actually pay off where contention bites: at 8 CPUs the per-CPU
+# magazine allocator must meet or beat the single contended
 # queue on throughput and never stall more.
-for variant in global colored colored_pcpu numa2; do
+for variant in global pcpu; do
     for c in 1 2 4 8; do
         for metric in faults_per_sec stall_share; do
             name="mpfault/alloc/$variant/c$c/$metric"
@@ -482,32 +482,21 @@ for variant in global colored colored_pcpu numa2; do
 done
 
 fps_global=$(mp_cell mpfault/alloc/global/c8/faults_per_sec)
-fps_pcpu=$(mp_cell mpfault/alloc/colored_pcpu/c8/faults_per_sec)
+fps_pcpu=$(mp_cell mpfault/alloc/pcpu/c8/faults_per_sec)
 if ! awk "BEGIN { exit !($fps_pcpu >= $fps_global) }"; then
-    echo "bench-smoke: FAIL colored+pcpu throughput $fps_pcpu below global $fps_global at 8 CPUs" >&2
+    echo "bench-smoke: FAIL pcpu throughput $fps_pcpu below global $fps_global at 8 CPUs" >&2
     fail=1
 fi
 stall_global=$(mp_cell mpfault/alloc/global/c8/stall_share)
-stall_pcpu=$(mp_cell mpfault/alloc/colored_pcpu/c8/stall_share)
+stall_pcpu=$(mp_cell mpfault/alloc/pcpu/c8/stall_share)
 if ! awk "BEGIN { exit !($stall_pcpu <= $stall_global) }"; then
-    echo "bench-smoke: FAIL colored+pcpu stall share $stall_pcpu above global $stall_global at 8 CPUs" >&2
-    fail=1
-fi
-
-# NUMA locality: private per-CPU working sets under the 2-domain split
-# must allocate almost entirely from their home domain.
-local_frac=$(mp_cell mpfault/alloc/numa2/private/c8/local_frac)
-if [ -z "$local_frac" ]; then
-    echo "bench-smoke: FAIL missing cell mpfault/alloc/numa2/private/c8/local_frac" >&2
-    fail=1
-elif ! awk "BEGIN { exit !($local_frac > 0.9) }"; then
-    echo "bench-smoke: FAIL numa2 private local fraction $local_frac not above 0.9" >&2
+    echo "bench-smoke: FAIL pcpu stall share $stall_pcpu above global $stall_global at 8 CPUs" >&2
     fail=1
 fi
 
 # Determinism: every cell the subset produced must match the committed
 # BENCH_vm.json to the digit.  This includes every 1-CPU allocator cell:
-# the flat default and the widened hierarchy must both replay exactly.
+# the seed queue and the magazines must both replay exactly.
 for name in $(tr ',' '\n' <"$mp_out" | sed -n 's/.*"name":"\(mpfault\/[^"]*\)".*/\1/p'); do
     now=$(mp_cell "$name")
     base=$(baseline_cell "$name")
@@ -660,11 +649,11 @@ for name in $(tr ',' '\n' <"$st_out" | sed -n 's/.*"name":"\(streams\/[^"]*\)".*
     fi
 done
 
-# The streams experiment rides alongside the original 223 cells; none of
+# The streams experiment rides alongside the 198 older cells; none of
 # them may be dropped or renamed.
 pre_cells=$(tr ',' '\n' <BENCH_vm.json | sed -n 's/.*"name":"\([^"]*\)".*/\1/p' | grep -cv '^streams/')
-if [ "$pre_cells" -ne 223 ]; then
-    echo "bench-smoke: FAIL BENCH_vm.json carries $pre_cells non-stream cells, expected the original 223" >&2
+if [ "$pre_cells" -ne 198 ]; then
+    echo "bench-smoke: FAIL BENCH_vm.json carries $pre_cells non-stream cells, expected 198" >&2
     fail=1
 fi
 
@@ -728,8 +717,8 @@ one_cell_per_line "$all_out" >"$all_cells"
 one_cell_per_line BENCH_vm.json >"$base_cells"
 n_base=$(grep -c '"name":' "$base_cells" || true)
 n_now=$(grep -c '"name":' "$all_cells" || true)
-if [ "$n_base" -ne 249 ] || [ "$n_now" -ne 249 ]; then
-    echo "bench-smoke: FAIL expected 249 cells, committed BENCH_vm.json has $n_base and the full run wrote $n_now" >&2
+if [ "$n_base" -ne 224 ] || [ "$n_now" -ne 224 ]; then
+    echo "bench-smoke: FAIL expected 224 cells, committed BENCH_vm.json has $n_base and the full run wrote $n_now" >&2
     fail=1
 fi
 if ! cmp -s "$base_cells" "$all_cells"; then
@@ -741,4 +730,4 @@ fi
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "bench-smoke: OK (24 shootdown cells at baseline, zero-overhead guards clean, chaos run deterministic with 0 corrupt pages — also under --numa 2, clustered read-ahead beats UNIX on cold reads and is free at cluster_max=1, async disk overlaps at w>=8 and replays under chaos, profiler conserves every cycle with 0 dropped events, mpfault scales on private objects and stalls on shared ones with burst=1 free to the digit, colored+pcpu allocator meets or beats the global queue at 8 CPUs with >90% NUMA locality, pressure sweep survives 4x overcommit with deterministic OOM kills, stream slots un-interfere 8 shared-file readers and are free to the digit for one, chaos replays with --streams 8 --free-behind, all 223 pre-stream cells intact, hostprof samples mp_shared, all 249 cells of a full run equal to BENCH_vm.json)"
+echo "bench-smoke: OK (24 shootdown cells at baseline, zero-overhead guards clean, chaos run deterministic with 0 corrupt pages — also under --alloc-cache 8, clustered read-ahead beats UNIX on cold reads and is free at cluster_max=1, async disk overlaps at w>=8 and replays under chaos, profiler conserves every cycle with 0 dropped events, mpfault scales on private objects and stalls on shared ones with burst=1 free to the digit, per-CPU magazines meet or beat the global queue at 8 CPUs, pressure sweep survives 4x overcommit with deterministic OOM kills, stream slots un-interfere 8 shared-file readers and are free to the digit for one, chaos replays with --streams 8 --free-behind, all 198 pre-stream cells intact, hostprof samples mp_shared, all 224 cells of a full run equal to BENCH_vm.json)"
