@@ -64,7 +64,8 @@ let () =
   let st = Vm_user.statistics sys in
   Printf.printf
     "faults=%d zero_fills=%d cow_copies=%d (%.2f simulated ms)\n"
-    st.Vm_user.vs_faults st.Vm_user.vs_zero_fills st.Vm_user.vs_cow_copies
+    (List.assoc "faults" st) (List.assoc "zero_fills" st)
+    (List.assoc "cow_copies" st)
     (Kernel.elapsed_ms kernel);
   Kernel.terminate_task kernel ~cpu:0 child;
   Kernel.terminate_task kernel ~cpu:0 task;

@@ -267,9 +267,6 @@ val emit : t -> Mach_obs.Obs.event -> unit
 val cost : t -> Mach_hw.Arch.cost
 (** The architecture's cost table. *)
 
-val fresh_stats : unit -> stats
-(** All-zero counters. *)
-
 val burst_register : t -> Types.page -> unit
 (** [burst_register t p] records [p] as burst-mapped and awaiting its
     first touch; the pmap layer's first-touch hook resolves it.  The

@@ -161,14 +161,13 @@ let serve sys task (m : Ipc.message) =
     let s = Vm_user.statistics sys in
     Ipc.message "vm_statistics_reply"
       ~ints:
-        [ 0; s.Vm_user.vs_page_size; s.Vm_user.vs_pages_total;
-          s.Vm_user.vs_pages_free; s.Vm_user.vs_pages_active;
-          s.Vm_user.vs_pages_inactive; s.Vm_user.vs_faults;
-          s.Vm_user.vs_zero_fills; s.Vm_user.vs_cow_copies;
-          s.Vm_user.vs_pager_reads; s.Vm_user.vs_pageouts;
-          s.Vm_user.vs_pager_retries; s.Vm_user.vs_pager_deaths;
-          s.Vm_user.vs_rescued_pages; s.Vm_user.vs_pageout_failures;
-          s.Vm_user.vs_memory_errors ]
+        (0
+         :: List.map
+              (fun name -> List.assoc name s)
+              [ "page_size"; "pages_total"; "pages_free"; "pages_active";
+                "pages_inactive"; "faults"; "zero_fills"; "cow_copies";
+                "pager_reads"; "pageouts"; "pager_retries"; "pager_deaths";
+                "rescued_pages"; "pageout_failures"; "memory_errors" ])
   | "task_fork", [] ->
     (match Hashtbl.find_opt kernels task.Task.task_id with
      | Some kernel ->

@@ -198,7 +198,8 @@ let stats_json ?(extra = []) tr =
       0 Obs.fault_resolutions
   in
   Jout.Obj
-    ([ ("events", Jout.Obj kind_counts);
+    ([ ("schema_version", Jout.Int 1);
+       ("events", Jout.Obj kind_counts);
        ("events_seen", Jout.Int (Obs.events_seen tr));
        ("events_retained", Jout.Int (Ring.length (Obs.ring tr)));
        ("events_dropped", Jout.Int (Ring.dropped (Obs.ring tr)));

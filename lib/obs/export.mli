@@ -18,7 +18,8 @@ val hist_json : Hist.t -> Jout.t
 (** count/sum/mean/min/max, p50/p90/p99 and the non-empty buckets. *)
 
 val stats_json : ?extra:(string * Jout.t) list -> Obs.t -> Jout.t
-(** Machine-readable summary: per-kind event counts, drop accounting,
+(** Machine-readable summary: a ["schema_version"] (1, bumped whenever
+    the key set changes), per-kind event counts, drop accounting,
     fault-latency histograms split by resolution kind (their counts sum
     to the recorded [fault_end] total), shootdown/pagein/disk latency
     and pageout queue-depth histograms.  [extra] fields are appended at

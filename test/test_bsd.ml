@@ -74,7 +74,7 @@ let test_sunos_cow_fork () =
   Alcotest.(check char) "child unaffected" '\000'
     (Machine.read_byte machine ~cpu:0 ~va:(a + 100))
 
-let test_fork_cost_eager_vs_cow () =
+let test_eager_fork_dearer_than_cow () =
   (* Hold the per-page bookkeeping constant so the comparison isolates
      the copy itself (SunOS's real overhead is higher, which is the
      point of the sunos32 variant elsewhere). *)
@@ -231,7 +231,7 @@ let () =
         [ Alcotest.test_case "eager copies" `Quick test_eager_fork_copies;
           Alcotest.test_case "sunos cow" `Quick test_sunos_cow_fork;
           Alcotest.test_case "eager dearer than cow" `Quick
-            test_fork_cost_eager_vs_cow;
+            test_eager_fork_dearer_than_cow;
           Alcotest.test_case "rmw bug with baseline cow" `Quick
             test_rmw_bug_on_baseline_cow ] );
       ( "exec/files",

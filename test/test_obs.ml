@@ -555,12 +555,10 @@ let tracing_transparent =
     (fun ops ->
        let probe traced =
          let machine, sys, _tr = run_attr_workload ~traced ops in
-         let s = sys.Vm_sys.stats in
          let ms = Machine.stats machine in
          ( List.init (Machine.cpu_count machine) (fun cpu ->
                Machine.cycles machine ~cpu),
-           ( s.Vm_sys.faults, s.Vm_sys.zero_fills, s.Vm_sys.cow_copies,
-             s.Vm_sys.pageouts ),
+           Vm_user.statistics sys,
            (ms.Machine.ipis, ms.Machine.shootdowns, ms.Machine.disk_ops) )
        in
        probe true = probe false)

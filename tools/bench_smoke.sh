@@ -63,6 +63,9 @@
 #     default ring size;
 #   - the stats JSON must carry the attribution object with its
 #     aggregate totals, per-CPU breakdown and top spans;
+#   - the stats JSON of machsim stats must carry reactivations and
+#     object_cache_hits in its vm object, and that of machsim compile
+#     must carry a vm object;
 #   - the cluster bench's attribution cells must be present, with the
 #     async run showing a smaller disk-wait share than sync, and the
 #     tracing-off timing cells above must still match BENCH_vm.json to
@@ -93,7 +96,8 @@ all_out=$(mktemp /tmp/bench_smoke_all.XXXXXX.json)
 all_cells=$(mktemp /tmp/bench_smoke_all_cells.XXXXXX)
 base_cells=$(mktemp /tmp/bench_smoke_base_cells.XXXXXX)
 folded=$(mktemp /tmp/bench_smoke_folded.XXXXXX)
-trap 'rm -f "$out" "$chaos_out" "$cluster_out" "$run_a" "$run_b" "$prof_out" "$prof_stats" "$mp_out" "$pr_out" "$st_out" "$all_out" "$all_cells" "$base_cells" "$folded"' EXIT
+vm_stats=$(mktemp /tmp/bench_smoke_vm.XXXXXX.json)
+trap 'rm -f "$out" "$chaos_out" "$cluster_out" "$run_a" "$run_b" "$prof_out" "$prof_stats" "$mp_out" "$pr_out" "$st_out" "$all_out" "$all_cells" "$base_cells" "$folded" "$vm_stats"' EXIT
 
 dune exec bench/main.exe -- -e shootdown -json "$out" >/dev/null
 
@@ -369,6 +373,21 @@ for key in '"attribution":' '"clock_total":' '"conserved":true' '"per_cpu":' '"t
         fail=1
     fi
 done
+
+# Every vm_statistics entry reaches the stats JSON: the stats workload's
+# vm object carries the counters it once left out, and compile under
+# Mach writes a vm object at all.
+dune exec bin/machsim.exe -- stats --stats "$vm_stats" >/dev/null 2>&1
+for key in '"reactivations"' '"object_cache_hits"'; do
+    if ! grep -q "$key" "$vm_stats"; then
+        echo "bench-smoke: FAIL machsim stats --stats JSON missing $key" >&2
+        fail=1
+    fi
+done
+if ! grep -q '"vm"' "$prof_stats"; then
+    echo "bench-smoke: FAIL machsim compile --stats JSON has no \"vm\" object" >&2
+    fail=1
+fi
 
 # The JSON must agree with itself: attribution total == sum of the CPU
 # clocks the exporter saw == machine max_cycles.
@@ -730,4 +749,4 @@ fi
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "bench-smoke: OK (24 shootdown cells at baseline, zero-overhead guards clean, chaos run deterministic with 0 corrupt pages — also under --alloc-cache 8, clustered read-ahead beats UNIX on cold reads and is free at cluster_max=1, async disk overlaps at w>=8 and replays under chaos, profiler conserves every cycle with 0 dropped events, mpfault scales on private objects and stalls on shared ones with burst=1 free to the digit, per-CPU magazines meet or beat the global queue at 8 CPUs, pressure sweep survives 4x overcommit with deterministic OOM kills, stream slots un-interfere 8 shared-file readers and are free to the digit for one, chaos replays with --streams 8 --free-behind, all 198 pre-stream cells intact, hostprof samples mp_shared, all 224 cells of a full run equal to BENCH_vm.json)"
+echo "bench-smoke: OK (24 shootdown cells at baseline, zero-overhead guards clean, chaos run deterministic with 0 corrupt pages — also under --alloc-cache 8, clustered read-ahead beats UNIX on cold reads and is free at cluster_max=1, async disk overlaps at w>=8 and replays under chaos, profiler conserves every cycle with 0 dropped events, stats and compile JSON carry the vm_statistics object, mpfault scales on private objects and stalls on shared ones with burst=1 free to the digit, per-CPU magazines meet or beat the global queue at 8 CPUs, pressure sweep survives 4x overcommit with deterministic OOM kills, stream slots un-interfere 8 shared-file readers and are free to the digit for one, chaos replays with --streams 8 --free-behind, all 198 pre-stream cells intact, hostprof samples mp_shared, all 224 cells of a full run equal to BENCH_vm.json)"
