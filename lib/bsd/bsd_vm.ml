@@ -116,7 +116,8 @@ let grab_frame t ~cpu p ~vpn =
   frame
 
 let enter t ~cpu:_ p ~vpn ~frame ~prot =
-  p.p_pmap.Pmap.enter ~va:(vpn * t.page) ~pfn:frame ~prot ~wired:false
+  p.p_pmap.Pmap.enter ~va:(vpn * t.page) ~pfn:frame ~frames:1 ~prot
+    ~wired:false
 
 let effective_write t (f : Machine.fault) =
   f.Machine.fault_write

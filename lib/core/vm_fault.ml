@@ -7,18 +7,13 @@ let zero_mach_page = Page_io.zero
 
 let copy_mach_page sys ~src ~dst = Page_io.copy sys ~src ~dst
 
-(* Enter every hardware frame of [p] at [page_va] in [pmap].  Batched so
-   that on architectures whose pages are smaller than the machine page a
-   re-enter's flushes go out as one exchange. *)
+(* Enter every hardware frame of [p] at [page_va] in [pmap], as one run.
+   Batched so that on architectures whose pages are smaller than the
+   machine page a re-enter's flushes go out as one exchange. *)
 let enter_page (sys : Vm_sys.t) pmap ~page_va p ~prot =
-  let phys = Machine.phys sys.Vm_sys.machine in
-  let hw = Phys_mem.page_size phys in
-  let m = Vm_sys.frames sys in
   Pmap_domain.batched sys.Vm_sys.domain (fun () ->
-      for i = 0 to m - 1 do
-        pmap.Pmap.enter ~va:(page_va + (i * hw)) ~pfn:(p.pfn + i) ~prot
-          ~wired:(p.pg_wire_count > 0)
-      done)
+      pmap.Pmap.enter ~va:page_va ~pfn:p.pfn ~frames:(Vm_sys.frames sys)
+        ~prot ~wired:(p.pg_wire_count > 0))
 
 let activate_page (sys : Vm_sys.t) p =
   if p.pg_wire_count = 0 then
@@ -52,10 +47,7 @@ let collect_burst (sys : Vm_sys.t) pmap entry obj ~page_va ~offset =
         match Vm_object.lookup_resident sys obj ~offset:off with
         | Some q
           when (not q.pg_busy) && q.pg_inflight = None
-               && not
-                    (List.exists
-                       (fun (a, _) -> a = asid)
-                       (Pmap_domain.mappings_of domain ~pfn:q.pfn)) ->
+               && not (Pmap_domain.mapped_by domain ~pfn:q.pfn ~asid) ->
           loop (i + 1) ((va_n, q) :: acc)
         | _ -> List.rev acc
     end

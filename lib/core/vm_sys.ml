@@ -100,9 +100,10 @@ type t = {
       (* upper bound on pages a resident fault maps in one pass (demand
          page included); 1 (or 0) maps only the demand page *)
   burst_pending : (int, Types.page) Hashtbl.t;
-      (* pfn -> burst-mapped page whose first touch has not happened
-         yet; resolved by the pmap layer's first-touch hook so the
-         touch counts as a prefetch hit even though it never faults *)
+      (* first pfn -> burst-mapped page whose first touch has not
+         happened yet; resolved by the pmap layer's first-touch hook so
+         the touch counts as a prefetch hit even though it never
+         faults *)
   stats : stats;
 }
 
@@ -140,28 +141,21 @@ let fresh_stats () =
 
    Burst faulting maps resident neighbour pages that were never demanded,
    so their first use cannot be seen by the fault path (they no longer
-   fault).  Each burst-mapped page is registered here by frame number and
-   its referenced bits are cleared; the pmap layer's first-touch hook
+   fault).  Each burst-mapped page is registered here by its first frame
+   (pages are runs of [frames t] frames aligned to that many) and its
+   referenced bits are cleared; the pmap layer's first-touch hook
    reports the clear->set transition, at which point the touch counts as
    a prefetch hit and the page is promoted like any other prefetch hit.
    Pure bookkeeping: none of this charges cycles. *)
 
 let frames t = Resident.multiple t.resident
 
-let burst_register t p =
-  let m = frames t in
-  for i = 0 to m - 1 do
-    Hashtbl.replace t.burst_pending (p.Types.pfn + i) p
-  done
+let burst_register t p = Hashtbl.replace t.burst_pending p.Types.pfn p
 
-let burst_forget t p =
-  let m = frames t in
-  for i = 0 to m - 1 do
-    Hashtbl.remove t.burst_pending (p.Types.pfn + i)
-  done
+let burst_forget t p = Hashtbl.remove t.burst_pending p.Types.pfn
 
 let note_first_touch t ~pfn =
-  match Hashtbl.find_opt t.burst_pending pfn with
+  match Hashtbl.find_opt t.burst_pending (pfn - (pfn mod frames t)) with
   | None -> ()
   | Some p ->
     burst_forget t p;

@@ -149,9 +149,9 @@ type t = {
       (** upper bound on pages a resident fault maps in one pass, demand
           page included; 1 (or 0) maps only the demand page *)
   burst_pending : (int, Types.page) Hashtbl.t;
-      (** burst-mapped pages (keyed by hardware frame) whose first touch
-          has not happened yet; resolved by the pmap layer's first-touch
-          hook, installed by {!create} *)
+      (** burst-mapped pages (keyed by first hardware frame) whose first
+          touch has not happened yet; resolved by the pmap layer's
+          first-touch hook, installed by {!create} *)
   stats : stats;
 }
 

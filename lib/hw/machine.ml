@@ -372,7 +372,17 @@ let deferred_wait t ~initiator =
   bump_as t c Mach_obs.Obs.Shootdown_ipi remainder;
   tick t
 
+let rec only initiator = function
+  | [] -> true
+  | id :: rest -> id = initiator && only initiator rest
+
 let shootdown t ~initiator ~targets req ~urgent =
+  if only initiator targets && not (traced t) then begin
+    (* Nothing remote and nothing to record: the local flush is all. *)
+    t.stats.shootdowns <- t.stats.shootdowns + 1;
+    flush_local t ~cpu:initiator req
+  end
+  else
   with_category t ~cpu:initiator Mach_obs.Obs.Shootdown_ipi @@ fun () ->
   t.stats.shootdowns <- t.stats.shootdowns + 1;
   let start_clock = (cpu_of t initiator).clock in

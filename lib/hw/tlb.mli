@@ -23,6 +23,26 @@ type t
 type entry = { asid : int; vpn : int; pfn : int; prot : Prot.t }
 (** A cached translation. *)
 
+(** {1 Packed keys}
+
+    An (asid, virtual page) pair packed into one int, the asid above 40
+    bits of vpn.  The TLB keys its translations this way, and the pmap
+    layer's pv lists store their entries in the same format. *)
+
+val asid_limit : int
+(** [2^22]: asids run over [\[0, asid_limit)]. *)
+
+val in_range : asid:int -> vpn:int -> bool
+(** [in_range ~asid ~vpn] is whether the pair fits a key: the asid in
+    [\[0, 2^22)] and the vpn in [\[0, 2^40)]. *)
+
+val key : asid:int -> vpn:int -> int
+(** [key ~asid ~vpn] packs a pair for which {!in_range} holds. *)
+
+val asid_of : int -> int
+val vpn_of : int -> int
+(** The asid and virtual page of a key. *)
+
 val create : capacity:int -> t
 (** [create ~capacity] is an empty TLB holding at most [capacity] entries.
     A capacity of 0 means the machine has no TLB (every access walks the

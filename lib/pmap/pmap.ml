@@ -11,7 +11,9 @@ type t = {
   asid : int;
   kind : Mach_hw.Arch.kind;
   reference : unit -> unit;
-  enter : va:int -> pfn:int -> prot:Mach_hw.Prot.t -> wired:bool -> unit;
+  enter :
+    va:int -> pfn:int -> frames:int -> prot:Mach_hw.Prot.t -> wired:bool ->
+    unit;
   remove : start_va:int -> end_va:int -> unit;
   protect : start_va:int -> end_va:int -> prot:Mach_hw.Prot.t -> unit;
   extract : int -> int option;

@@ -42,10 +42,17 @@ type t = {
       (** [pmap_reference]: add a reference; [destroy] only releases the
           structures when the last reference goes (several tasks may share
           one physical map). *)
-  enter : va:int -> pfn:int -> prot:Mach_hw.Prot.t -> wired:bool -> unit;
-      (** [pmap_enter]: make a virtual-to-physical mapping, replacing any
-          previous mapping of the same page.  Called from the page-fault
-          path. *)
+  enter :
+    va:int -> pfn:int -> frames:int -> prot:Mach_hw.Prot.t -> wired:bool ->
+    unit;
+      (** [pmap_enter]: map the run of [frames] hardware frames from [pfn]
+          at consecutive hardware pages from [va], replacing any previous
+          mapping of each page.  Called from the page-fault path with the
+          frames of one machine-independent page (Section 3.1).  The run
+          has exactly the effect of [frames] one-frame enters in ascending
+          order — the same mappings, pv order, counters, cycles and
+          shootdowns — and a frame the hardware cannot map raises
+          [Invalid_argument] after the frames before it are entered. *)
   remove : start_va:int -> end_va:int -> unit;
       (** [pmap_remove]: remove all mappings in [\[start_va, end_va)].
           Used in memory deallocation. *)

@@ -3,7 +3,7 @@ open Mach_hw
 type t = {
   ctx : Backend.ctx;
   factory : Backend.factory;
-  registry : Pmap.t Backend.Asid_tbl.t;
+  registry : Pmap.t Backend.Int_tbl.t;
   mutable on_first_touch : (pfn:int -> unit) option;
       (* fired when a frame's referenced bit transitions clear -> set;
          the VM layer uses it to observe the first touch of pages it
@@ -21,7 +21,7 @@ let create machine =
     | Arch.Tlb_only -> Pmap_tlbonly.make_domain ctx
   in
   let t =
-    { ctx; factory; registry = Backend.Asid_tbl.create 16;
+    { ctx; factory; registry = Backend.Int_tbl.create 16;
       on_first_touch = None }
   in
   Machine.set_on_translated machine (fun ~pfn ~write ->
@@ -44,9 +44,13 @@ let machine t = t.ctx.Backend.machine
    one branch.  The [Pmap] attribution frame brackets the backend call
    itself, so map-update costs land in the Pmap category wherever they
    were triggered from — except TLB-consistency work, which the machine
-   charges as [Shootdown_ipi] explicitly. *)
+   charges as [Shootdown_ipi] explicitly.  A traced frame run is entered
+   in one call like an untraced one; the trace then gets one [Pmap_enter]
+   per frame, all stamped when the run is in (a run that raises records
+   none). *)
 let instrument t (p : Pmap.t) =
   let m = t.ctx.Backend.machine in
+  let page = Backend.page_size t.ctx in
   let asid = p.Pmap.asid in
   let traced () = Mach_obs.Obs.enabled (Machine.tracer m) in
   let note ev =
@@ -58,12 +62,16 @@ let instrument t (p : Pmap.t) =
   in
   { p with
     Pmap.enter =
-      (fun ~va ~pfn ~prot ~wired ->
+      (fun ~va ~pfn ~frames ~prot ~wired ->
          if traced () then begin
-           in_pmap (fun () -> p.Pmap.enter ~va ~pfn ~prot ~wired);
-           note (Mach_obs.Obs.Pmap_enter { asid; va; pfn })
+           in_pmap (fun () -> p.Pmap.enter ~va ~pfn ~frames ~prot ~wired);
+           for i = 0 to frames - 1 do
+             note
+               (Mach_obs.Obs.Pmap_enter
+                  { asid; va = va + (i * page); pfn = pfn + i })
+           done
          end
-         else p.Pmap.enter ~va ~pfn ~prot ~wired);
+         else p.Pmap.enter ~va ~pfn ~frames ~prot ~wired);
     remove =
       (fun ~start_va ~end_va ->
          if traced () then begin
@@ -90,16 +98,14 @@ let create_pmap t =
     decr refs;
     if !refs = 0 then begin
       p.Pmap.destroy ();
-      Backend.Asid_tbl.remove t.registry p.Pmap.asid
+      Backend.Int_tbl.remove t.registry p.Pmap.asid
     end
   in
   let p = { p with Pmap.reference; destroy } in
-  Backend.Asid_tbl.add t.registry p.Pmap.asid p;
+  Backend.Int_tbl.add t.registry p.Pmap.asid p;
   p
 
-let find_pmap t ~asid = Backend.Asid_tbl.find_opt t.registry asid
-
-let live_pmaps t = Backend.Asid_tbl.fold (fun _ p acc -> p :: acc) t.registry []
+let find_pmap t ~asid = Backend.Int_tbl.find_opt t.registry asid
 
 let set_current_cpu t cpu = t.ctx.Backend.cur_cpu <- cpu
 
@@ -107,30 +113,34 @@ let current_cpu t = t.ctx.Backend.cur_cpu
 
 let page_size t = Backend.page_size t.ctx
 
-let begin_batch t = Backend.begin_batch t.ctx
-let end_batch t = Backend.end_batch t.ctx
 let batched t f = Backend.batched t.ctx f
 let set_batching t on = Backend.set_batching t.ctx on
-let batching t = Backend.batching t.ctx
 
 (* The page-level operations act on a run of [frames] hardware frames
    from [pfn]: the frames of one machine-independent page.  [f pmap va]
-   runs for every mapping of each frame.  Each mapped frame gets its own
-   batch, so a frame mapped into many address spaces costs one
-   consistency exchange rather than one per mapping — and still one per
-   frame, unless the caller holds a batch open around the whole run.  A
-   frame without mappings opens none. *)
+   runs for every mapping of each frame, newest first.  Each mapped frame
+   gets its own batch, so a frame mapped into many address spaces costs
+   one consistency exchange rather than one per mapping — and still one
+   per frame, unless the caller holds a batch open around the whole run.
+   A frame without mappings opens none. *)
 let each_mapping t ~pfn ~frames f =
-  let page = page_size t in
+  let ctx = t.ctx and page = page_size t in
+  let rec visit = function
+    | [] -> ()
+    | m :: rest ->
+      f (Backend.Int_tbl.find t.registry (Pv.asid_of m)) (Pv.vpn_of m * page);
+      visit rest
+  in
   for pfn = pfn to pfn + frames - 1 do
-    match Pv.mappings t.ctx.Backend.pv ~pfn with
+    match Pv.mappings ctx.Backend.pv ~pfn with
     | [] -> ()
     | mappings ->
-      batched t (fun () ->
-          List.iter
-            (fun { Pv.pv_asid; pv_vpn } ->
-               f (Backend.Asid_tbl.find t.registry pv_asid) (pv_vpn * page))
-            mappings)
+      Backend.begin_batch ctx;
+      (match visit mappings with
+       | () -> Backend.end_batch ctx
+       | exception e ->
+         Backend.end_batch ctx;
+         raise e)
   done
 
 (* Urgency is captured per accumulated flush, so restoring [urgent_mode]
@@ -178,8 +188,10 @@ let mapping_count t ~pfn = Pv.mapping_count t.ctx.Backend.pv ~pfn
 
 let mappings_of t ~pfn =
   List.map
-    (fun { Pv.pv_asid; pv_vpn } -> (pv_asid, pv_vpn))
+    (fun m -> (Pv.asid_of m, Pv.vpn_of m))
     (Pv.mappings t.ctx.Backend.pv ~pfn)
+
+let mapped_by t ~pfn ~asid = Pv.mapped_by t.ctx.Backend.pv ~pfn ~asid
 
 let zero_page t ~pfn =
   Backend.charge t.ctx (Backend.move_cost t.ctx (page_size t));
@@ -189,16 +201,15 @@ let copy_page t ~src ~dst =
   Backend.charge t.ctx (Backend.move_cost t.ctx (page_size t));
   Phys_mem.copy_frame (Machine.phys (machine t)) ~src ~dst
 
-let shared_map_bytes t = t.factory.Backend.shared_map_bytes ()
-
 let total_map_bytes t =
-  Backend.Asid_tbl.fold
+  Backend.Int_tbl.fold
     (fun _ p acc -> acc + p.Pmap.map_bytes ())
-    t.registry (shared_map_bytes t)
+    t.registry
+    (t.factory.Backend.shared_map_bytes ())
 
 let total_stats t =
   let acc = Pmap.fresh_stats () in
-  Backend.Asid_tbl.iter
+  Backend.Int_tbl.iter
     (fun _ p ->
        let s = p.Pmap.stats in
        acc.Pmap.enters <- acc.Pmap.enters + s.Pmap.enters;

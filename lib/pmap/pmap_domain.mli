@@ -23,13 +23,13 @@ val machine : t -> Mach_hw.Machine.t
 (** The underlying machine. *)
 
 val create_pmap : t -> Pmap.t
-(** [create_pmap t] is [pmap_create]: a fresh, empty physical map. *)
+(** [create_pmap t] is [pmap_create]: a fresh, empty physical map with a
+    new asid.  Asids are never reused: a domain creates at most
+    [Mach_hw.Tlb.asid_limit - 1] pmaps, after which [create_pmap] raises
+    [Invalid_argument]. *)
 
 val find_pmap : t -> asid:int -> Pmap.t option
 (** [find_pmap t ~asid] is the live pmap with that asid, if any. *)
-
-val live_pmaps : t -> Pmap.t list
-(** All pmaps created and not yet destroyed. *)
 
 val set_current_cpu : t -> int -> unit
 (** [set_current_cpu t cpu] records the CPU on which kernel code is
@@ -52,14 +52,10 @@ val set_on_first_touch : t -> (pfn:int -> unit) -> unit
 
     Machine-independent code can bracket a burst of pmap mutations so all
     their TLB shootdowns are delivered as one batched exchange (a single
-    IPI round per target CPU) when the outermost {!end_batch} runs.
-    Batches nest; urgency and strategy semantics are unchanged — only the
-    number of exchanges shrinks, never the time at which consistency is
+    IPI round per target CPU) when the outermost batch closes.  Batches
+    nest; urgency and strategy semantics are unchanged — only the number
+    of exchanges shrinks, never the time at which consistency is
     restored. *)
-
-val begin_batch : t -> unit
-val end_batch : t -> unit
-(** Raises [Invalid_argument] without a matching {!begin_batch}. *)
 
 val batched : t -> (unit -> 'a) -> 'a
 (** [batched t f] runs [f] inside a batch, closing it on exceptions. *)
@@ -68,8 +64,6 @@ val set_batching : t -> bool -> unit
 (** [set_batching t false] disables accumulation: open batches collect
     nothing and every shootdown is its own exchange.  Benchmarks use this
     to measure the unbatched baseline.  Default: enabled. *)
-
-val batching : t -> bool
 
 (** {1 Page-level operations (Table 3-3)}
 
@@ -81,8 +75,9 @@ val remove_all : t -> pfn:int -> frames:int -> urgent:bool -> unit
     pageout; with [urgent:true] the invalidations are propagated with
     interrupts no matter the machine's shootdown strategy (the paper's
     case 1), otherwise the configured strategy applies.  Each mapped
-    frame is one consistency exchange (unless the caller holds a batch
-    open); a frame with no mapping costs nothing. *)
+    frame is one consistency exchange, however many address spaces map
+    it (unless the caller holds a batch open); a frame with no mapping
+    costs nothing.  Mappings go newest first. *)
 
 val copy_on_write : t -> pfn:int -> frames:int -> unit
 (** [pmap_copy_on_write]: remove write access to the page in all maps.
@@ -106,7 +101,11 @@ val mapping_count : t -> pfn:int -> int
 
 val mappings_of : t -> pfn:int -> (int * int) list
 (** [mappings_of t ~pfn] lists the (asid, virtual page) pairs currently
-    mapping the frame; used by consistency checkers. *)
+    mapping the frame, newest first; used by consistency checkers. *)
+
+val mapped_by : t -> pfn:int -> asid:int -> bool
+(** [mapped_by t ~pfn ~asid] is whether a page of [asid] maps the frame;
+    allocates nothing. *)
 
 val zero_page : t -> pfn:int -> unit
 (** [pmap_zero_page]: zero-fill the frame, charging the architecture's
@@ -117,12 +116,10 @@ val copy_page : t -> src:int -> dst:int -> unit
 
 (** {1 Accounting} *)
 
-val shared_map_bytes : t -> int
-(** Bytes of hardware mapping structures shared by all pmaps (the RT PC
-    inverted table, SUN 3 mapping RAM); 0 where tables are per-pmap. *)
-
 val total_map_bytes : t -> int
-(** [shared_map_bytes] plus the sum of live pmaps' [map_bytes]. *)
+(** Bytes of hardware mapping structures shared by all pmaps (the RT PC
+    inverted table, SUN 3 mapping RAM; 0 where tables are per-pmap) plus
+    the sum of live pmaps' [map_bytes]. *)
 
 val total_stats : t -> Pmap.stats
 (** Sum of all live pmaps' counters. *)

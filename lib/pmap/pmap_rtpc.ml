@@ -52,7 +52,7 @@ let make_domain (ctx : Backend.ctx) =
     Hashtbl.add owners asid
       { o_presence = presence; o_stats = stats; o_vpns = own_vpns };
 
-    let enter ~va ~pfn ~prot ~wired =
+    let enter_frame ~prot ~wired ~va ~pfn =
       if pfn < 0 || pfn >= frames then
         invalid_arg "pmap_enter: no such physical page";
       let vpn = va / page in
@@ -85,6 +85,10 @@ let make_domain (ctx : Backend.ctx) =
       (* Only a pre-existing translation can be cached in a TLB. *)
       if had_mapping then Backend.shoot_page ctx presence ~asid ~vpn;
       stats.Pmap.enters <- stats.Pmap.enters + 1
+    in
+
+    let enter ~va ~pfn ~frames ~prot ~wired =
+      Backend.each_frame ctx ~va ~pfn ~frames (enter_frame ~prot ~wired)
     in
 
     (* Visit this pmap's mappings with vpn in [lo, hi). *)

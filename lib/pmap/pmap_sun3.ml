@@ -95,7 +95,7 @@ let make_domain (ctx : Backend.ctx) =
         c
     in
 
-    let enter ~va ~pfn ~prot ~wired =
+    let enter_frame ~prot ~wired ~va ~pfn =
       if va < 0 || va >= arch.Arch.user_va_limit then
         invalid_arg "pmap_enter: virtual address beyond hardware limit";
       let vpn = va / page in
@@ -113,6 +113,10 @@ let make_domain (ctx : Backend.ctx) =
       Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
       if had_mapping then Backend.shoot_page ctx presence ~asid ~vpn;
       stats.Pmap.enters <- stats.Pmap.enters + 1
+    in
+
+    let enter ~va ~pfn ~frames ~prot ~wired =
+      Backend.each_frame ctx ~va ~pfn ~frames (enter_frame ~prot ~wired)
     in
 
     (* This pmap's live mappings with vpn in [lo, hi); empty when it holds

@@ -21,7 +21,7 @@ let make_domain (ctx : Backend.ctx) =
         presence.Backend.active
     in
 
-    let enter ~va ~pfn ~prot ~wired =
+    let enter_frame ~prot ~wired ~va ~pfn =
       if va < 0 then invalid_arg "pmap_enter: negative address";
       let vpn = va / page in
       let m = { m_pfn = pfn; m_prot = prot; m_wired = wired } in
@@ -43,6 +43,10 @@ let make_domain (ctx : Backend.ctx) =
       fill_active_tlbs vpn m;
       Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
       stats.Pmap.enters <- stats.Pmap.enters + 1
+    in
+
+    let enter ~va ~pfn ~frames ~prot ~wired =
+      Backend.each_frame ctx ~va ~pfn ~frames (enter_frame ~prot ~wired)
     in
 
     let in_range lo hi =

@@ -1,9 +1,3 @@
 let make_domain (ctx : Backend.ctx) =
-  let arch = Backend.arch ctx in
-  {
-    Backend.new_pmap =
-      (fun () ->
-         Table_pmap.make ctx ~kind:Mach_hw.Arch.Vax
-           ~va_limit:arch.Mach_hw.Arch.user_va_limit ~top_bytes:0 ());
-    shared_map_bytes = (fun () -> 0);
-  }
+  Table_pmap.make_domain ctx ~kind:Mach_hw.Arch.Vax
+    ~va_limit:(Backend.arch ctx).Mach_hw.Arch.user_va_limit ~top_bytes:0 ()

@@ -1,7 +1,11 @@
-type mapping = { pv_asid : int; pv_vpn : int }
+open Mach_hw
+
+(* A pv entry is one int, packed as [Tlb] packs its keys. *)
+let asid_of = Tlb.asid_of
+let vpn_of = Tlb.vpn_of
 
 type t = {
-  lists : mapping list array;
+  lists : int list array;
   referenced : Bytes.t;
   modified : Bytes.t;
 }
@@ -19,23 +23,34 @@ let create ~frames =
    pmap paths quadratic, so they are compiled out of normal builds. *)
 let debug_checks = false
 
-let insert t ~pfn m =
+let insert t ~pfn ~asid ~vpn =
+  if not (Tlb.in_range ~asid ~vpn) then
+    invalid_arg "Pv.insert: asid or virtual page out of range";
+  let m = Tlb.key ~asid ~vpn in
   if debug_checks then assert (not (List.mem m t.lists.(pfn)));
   t.lists.(pfn) <- m :: t.lists.(pfn)
 
 let remove t ~pfn ~asid ~vpn =
   (* One traversal dropping the first occurrence; a missing mapping still
-     asserts, without a separate membership scan. *)
+     asserts, without a separate membership scan.  Every entry passed the
+     range check in [insert]. *)
+  let m = Tlb.key ~asid ~vpn in
   let rec drop = function
     | [] -> assert false
-    | m :: rest ->
-      if m.pv_asid = asid && m.pv_vpn = vpn then rest else m :: drop rest
+    | m' :: rest -> if m' = m then rest else m' :: drop rest
   in
   t.lists.(pfn) <- drop t.lists.(pfn)
 
 let mappings t ~pfn = t.lists.(pfn)
 
 let mapping_count t ~pfn = List.length t.lists.(pfn)
+
+let mapped_by t ~pfn ~asid =
+  let rec any = function
+    | [] -> false
+    | m :: rest -> asid_of m = asid || any rest
+  in
+  any t.lists.(pfn)
 
 let set_referenced t ~pfn = Bytes.set t.referenced pfn '\001'
 let set_modified t ~pfn = Bytes.set t.modified pfn '\001'

@@ -31,17 +31,15 @@ let pte_prot pte = Prot.of_bits pte
 
 type tpage = { ptes : int array; mutable valid_count : int }
 
-(* The table-page directory, keyed by table-page index (vpn divided by
-   ptes per page): small, mostly consecutive ints, so they are their own
-   hash. *)
-module Tpages = Hashtbl.Make (struct
-    type t = int
-    let equal = Int.equal
-    let hash i = i land max_int
-  end)
+(* Stands for an absent table page, so a lookup allocates no option. *)
+let no_tpage = { ptes = [||]; valid_count = 0 }
 
-let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
-    ?(pfn_ok = fun _ -> true) () =
+(* The table-page directory is keyed by table-page index (vpn divided by
+   ptes per page). *)
+module Tpages = Backend.Int_tbl
+
+(* [pfn_limit] is the first frame the hardware cannot map. *)
+let make_pmap (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes ~pfn_limit =
   let asid = Backend.fresh_asid ctx in
   let stats = Pmap.fresh_stats () in
   let presence = Backend.fresh_presence ctx in
@@ -51,20 +49,35 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
   let tables : tpage Tpages.t = Tpages.create 16 in
   let resident = ref 0 in
 
-  let pte_at vpn =
-    match Tpages.find tables (vpn / ptes_per_page) with
-    | tp -> tp.ptes.(vpn mod ptes_per_page)
-    | exception Not_found -> 0
+  (* The last table page looked up, present or not: consecutive pages
+     mostly share one, so most lookups need no hashing. *)
+  let cached_idx = ref min_int and cached_tp = ref no_tpage in
+  let find_tpage idx =
+    if idx <> !cached_idx then begin
+      cached_idx := idx;
+      cached_tp :=
+        (match Tpages.find tables idx with
+         | tp -> tp
+         | exception Not_found -> no_tpage)
+    end;
+    !cached_tp
   in
-  let find_or_create_tpage idx =
-    match Tpages.find tables idx with
-    | tp -> tp
-    | exception Not_found ->
-      (* Constructing a page-table page costs a page zero. *)
-      Backend.charge ctx (Backend.move_cost ctx page);
-      let tp = { ptes = Array.make ptes_per_page 0; valid_count = 0 } in
-      Tpages.add tables idx tp;
-      tp
+  let pte_at vpn =
+    let tp = find_tpage (vpn / ptes_per_page) in
+    if tp == no_tpage then 0 else tp.ptes.(vpn mod ptes_per_page)
+  in
+  let create_tpage idx =
+    (* Constructing a page-table page costs a page zero. *)
+    Backend.charge ctx (Backend.move_cost ctx page);
+    let tp = { ptes = Array.make ptes_per_page 0; valid_count = 0 } in
+    Tpages.add tables idx tp;
+    cached_idx := idx;
+    cached_tp := tp;
+    tp
+  in
+  let drop_tpage idx =
+    Tpages.remove tables idx;
+    if idx = !cached_idx then cached_tp := no_tpage
   in
 
   (* Invalidate the pte of [vpn], slot [i] of [tp]; the caller decides how
@@ -78,10 +91,15 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
     decr resident;
     stats.Pmap.removals <- stats.Pmap.removals + 1;
     tp.valid_count <- tp.valid_count - 1;
-    if tp.valid_count = 0 then Tpages.remove tables (vpn / ptes_per_page)
+    if tp.valid_count = 0 then drop_tpage (vpn / ptes_per_page)
   in
 
+  (* Install a pte for [vpn] in [tp], or in a new table page when [tp]
+     is [no_tpage]. *)
   let install tp vpn ~pfn ~prot ~wired =
+    let tp =
+      if tp == no_tpage then create_tpage (vpn / ptes_per_page) else tp
+    in
     let i = vpn mod ptes_per_page in
     assert (not (pte_valid tp.ptes.(i)));
     tp.ptes.(i) <- make_pte ~pfn ~prot ~wired;
@@ -90,30 +108,47 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
     Backend.pv_insert ctx ~pfn ~asid ~vpn
   in
 
-  let enter ~va ~pfn ~prot ~wired =
-    if va < 0 || va >= va_limit then
-      invalid_arg "pmap_enter: virtual address beyond hardware limit";
-    if not (pfn_ok pfn) then
-      invalid_arg "pmap_enter: physical page beyond hardware limit";
-    let vpn = va / page in
+  (* TLBs need invalidating only when a previously valid translation
+     changes; fresh entries cannot be cached anywhere. *)
+  let enter_frame vpn ~pfn ~prot ~wired =
     let idx = vpn / ptes_per_page and i = vpn mod ptes_per_page in
-    (* TLBs need invalidating only when a previously valid translation
-       changes; fresh entries cannot be cached anywhere. *)
-    (match Tpages.find tables idx with
-     | tp when pte_valid tp.ptes.(i) && pte_pfn tp.ptes.(i) = pfn ->
-       (* Same frame: update protection in place. *)
-       tp.ptes.(i) <- make_pte ~pfn ~prot ~wired;
-       Backend.shoot_page ctx presence ~asid ~vpn
-     | tp when pte_valid tp.ptes.(i) ->
-       invalidate_pte vpn tp i;
-       Backend.shoot_page ctx presence ~asid ~vpn;
-       (* The table page is gone if that was its last valid pte. *)
-       install (find_or_create_tpage idx) vpn ~pfn ~prot ~wired
-     | tp -> install tp vpn ~pfn ~prot ~wired
-     | exception Not_found ->
-       install (find_or_create_tpage idx) vpn ~pfn ~prot ~wired);
+    let tp = find_tpage idx in
+    if tp == no_tpage || not (pte_valid tp.ptes.(i)) then
+      install tp vpn ~pfn ~prot ~wired
+    else if pte_pfn tp.ptes.(i) = pfn then begin
+      (* Same frame: update protection in place. *)
+      tp.ptes.(i) <- make_pte ~pfn ~prot ~wired;
+      Backend.shoot_page ctx presence ~asid ~vpn
+    end
+    else begin
+      invalidate_pte vpn tp i;
+      Backend.shoot_page ctx presence ~asid ~vpn;
+      (* The table page is gone if that was its last valid pte. *)
+      install (find_tpage idx) vpn ~pfn ~prot ~wired
+    end;
     Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
     stats.Pmap.enters <- stats.Pmap.enters + 1
+  in
+
+  (* A run is checked against the hardware limits once: the frames up to
+     the first one out of range are entered, then that one raises.  The
+     run's frames share their table pages, so after its first frame a
+     lookup mostly hits [find_tpage]'s last page. *)
+  let enter ~va ~pfn ~frames ~prot ~wired =
+    (* How many leading frames lie below each limit. *)
+    let in_va =
+      if va < 0 then 0
+      else min frames (max 0 ((va_limit - va + page - 1) / page))
+    and in_pa = min frames (max 0 (pfn_limit - pfn)) in
+    let vpn0 = va / page and ok = min in_va in_pa in
+    for i = 0 to ok - 1 do
+      enter_frame (vpn0 + i) ~pfn:(pfn + i) ~prot ~wired
+    done;
+    if ok < frames then
+      invalid_arg
+        (if in_va <= in_pa then
+           "pmap_enter: virtual address beyond hardware limit"
+         else "pmap_enter: physical page beyond hardware limit")
   in
 
   (* Visit the valid ptes whose vpn lies in [lo, hi) in ascending vpn
@@ -123,14 +158,14 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
      whole-space sweeps stay cheap. *)
   let iter_valid_in_range lo hi f =
     let visit idx =
-      match Tpages.find tables idx with
-      | exception Not_found -> ()
-      | tp ->
+      let tp = find_tpage idx in
+      if tp != no_tpage then begin
         let first_vpn = idx * ptes_per_page in
         for i = max 0 (lo - first_vpn)
             to min ptes_per_page (hi - first_vpn) - 1 do
           if pte_valid tp.ptes.(i) then f (first_vpn + i) tp i
         done
+      end
     in
     if lo < hi then begin
       let lo_idx = lo / ptes_per_page and hi_idx = (hi - 1) / ptes_per_page in
@@ -148,14 +183,24 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
 
   (* The batch accumulator coalesces the per-page shootdowns into one
      exchange (and promotes to a whole-space flush past the threshold);
-     with batching off each page goes out as its own shootdown. *)
+     with batching off each page goes out as its own shootdown.  One page
+     goes straight to its pte: its shootdown alone is what a batch of it
+     would issue. *)
   let range_op ~start_va ~end_va f =
     let lo = start_va / page in
     let hi = (end_va + page - 1) / page in
-    Backend.batched ctx (fun () ->
-        iter_valid_in_range lo hi (fun vpn tp i ->
-            f vpn tp i;
-            Backend.shoot_page ctx presence ~asid ~vpn))
+    if hi = lo + 1 && lo >= 0 then begin
+      let tp = find_tpage (lo / ptes_per_page) and i = lo mod ptes_per_page in
+      if tp != no_tpage && pte_valid tp.ptes.(i) then begin
+        f lo tp i;
+        Backend.shoot_page ctx presence ~asid ~vpn:lo
+      end
+    end
+    else
+      Backend.batched ctx (fun () ->
+          iter_valid_in_range lo hi (fun vpn tp i ->
+              f vpn tp i;
+              Backend.shoot_page ctx presence ~asid ~vpn))
   in
 
   let remove ~start_va ~end_va =
@@ -198,10 +243,28 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
     if !dropped > 0 then Backend.shoot_asid ctx presence ~asid
   in
 
+  (* Every table page goes at once, so the walk visits them as they sit
+     in the directory and drops the directory after. *)
   let destroy () =
-    iter_valid_in_range 0 max_int invalidate_pte;
+    let pte_write = (Backend.cost ctx).Arch.pte_write in
+    Tpages.iter
+      (fun idx tp ->
+         let first_vpn = idx * ptes_per_page in
+         Array.iteri
+           (fun i pte ->
+              if pte_valid pte then begin
+                Backend.pv_remove ctx ~pfn:(pte_pfn pte) ~asid
+                  ~vpn:(first_vpn + i);
+                Backend.charge ctx pte_write
+              end)
+           tp.ptes)
+      tables;
+    stats.Pmap.removals <- stats.Pmap.removals + !resident;
+    resident := 0;
     Backend.shoot_asid ctx presence ~asid;
-    Tpages.reset tables
+    Tpages.reset tables;
+    cached_idx := min_int;
+    cached_tp := no_tpage
   in
 
   let map_bytes () = top_bytes + (Tpages.length tables * page) in
@@ -209,15 +272,36 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
   (* pmap_copy (Table 3-4, optional): duplicate valid mappings into a
      destination pmap so it avoids its initial faults.  Write permission
      is stripped — the typical caller is fork, where the child's data
-     must stay copy-on-write until its first write fault. *)
+     must stay copy-on-write until its first write fault.  Consecutive
+     pages mapping consecutive frames at one protection go over as one
+     run. *)
   let copy ~dst ~dst_start ~len ~src_start =
     let lo = src_start / page in
     let hi = (src_start + len + page - 1) / page in
+    let run_vpn = ref 0 and run_pfn = ref 0 and run_bits = ref 0 in
+    let run_frames = ref 0 in
+    let flush () =
+      if !run_frames > 0 then
+        dst.Pmap.enter
+          ~va:(dst_start + ((!run_vpn * page) - src_start))
+          ~pfn:!run_pfn ~frames:!run_frames
+          ~prot:(Prot.of_bits !run_bits) ~wired:false
+    in
     iter_valid_in_range lo hi (fun vpn tp i ->
         let pte = tp.ptes.(i) in
-        let va = dst_start + ((vpn * page) - src_start) in
-        dst.Pmap.enter ~va ~pfn:(pte_pfn pte)
-          ~prot:(Prot.remove_write (pte_prot pte)) ~wired:false)
+        let bits = Prot.to_bits (Prot.remove_write (pte_prot pte)) in
+        let n = !run_frames in
+        if not (n > 0 && vpn = !run_vpn + n && pte_pfn pte = !run_pfn + n
+                && bits = !run_bits)
+        then begin
+          flush ();
+          run_vpn := vpn;
+          run_pfn := pte_pfn pte;
+          run_bits := bits;
+          run_frames := 0
+        end;
+        incr run_frames);
+    flush ()
   in
 
   {
@@ -241,3 +325,9 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
     destroy;
     stats;
   }
+
+let make_domain (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
+    ?(pfn_limit = max_int) () =
+  { Backend.new_pmap =
+      (fun () -> make_pmap ctx ~kind ~va_limit ~top_bytes ~pfn_limit);
+    shared_map_bytes = (fun () -> 0) }

@@ -149,7 +149,8 @@ let test_accumulator_coalesces () =
   p.Pmap.activate ~cpu:1;
   List.iter
     (fun vpn ->
-       p.Pmap.enter ~va:(vpn * ps) ~pfn:(20 + vpn) ~prot:Prot.read_write
+       p.Pmap.enter ~va:(vpn * ps) ~pfn:(20 + vpn) ~frames:1
+         ~prot:Prot.read_write
          ~wired:false)
     [ 0; 1; 2; 10 ];
   Machine.reset_clocks machine;
@@ -189,7 +190,7 @@ let test_accumulator_promotes () =
   p.Pmap.activate ~cpu:0;
   p.Pmap.activate ~cpu:1;
   for vpn = 0 to 15 do
-    p.Pmap.enter ~va:(vpn * ps) ~pfn:(20 + vpn) ~prot:Prot.read_write
+    p.Pmap.enter ~va:(vpn * ps) ~pfn:(20 + vpn) ~frames:1 ~prot:Prot.read_write
       ~wired:false
   done;
   Machine.reset_clocks machine;
@@ -219,7 +220,8 @@ let test_accumulator_threshold_counts_distinct_pages () =
     p.Pmap.activate ~cpu:1;
     List.iter
       (fun vpn ->
-         p.Pmap.enter ~va:(vpn * ps) ~pfn:(20 + vpn) ~prot:Prot.read_write
+         p.Pmap.enter ~va:(vpn * ps) ~pfn:(20 + vpn) ~frames:1
+           ~prot:Prot.read_write
            ~wired:false)
       vpns;
     Machine.reset_clocks machine;
@@ -293,9 +295,9 @@ let test_accumulator_reuses_page_sets () =
   pa.Pmap.activate ~cpu:0;
   pb.Pmap.activate ~cpu:1;
   for vpn = 0 to 5 do
-    pa.Pmap.enter ~va:(vpn * ps) ~pfn:(20 + vpn) ~prot:Prot.read_write
+    pa.Pmap.enter ~va:(vpn * ps) ~pfn:(20 + vpn) ~frames:1 ~prot:Prot.read_write
       ~wired:false;
-    pb.Pmap.enter ~va:(vpn * ps) ~pfn:(40 + vpn) ~prot:Prot.read_write
+    pb.Pmap.enter ~va:(vpn * ps) ~pfn:(40 + vpn) ~frames:1 ~prot:Prot.read_write
       ~wired:false;
     ignore (Machine.read_byte machine ~cpu:0 ~va:(vpn * ps));
     ignore (Machine.read_byte machine ~cpu:1 ~va:(vpn * ps))
@@ -476,7 +478,7 @@ let mixed_ops_agree arch ops =
       let i = active.(cpu) in
       match Hashtbl.find_opt models.(i) vpn with
       | Some (pfn, prot) ->
-        pmaps.(i).Pmap.enter ~va:(vpn * ps) ~pfn ~prot ~wired:false
+        pmaps.(i).Pmap.enter ~va:(vpn * ps) ~pfn ~frames:1 ~prot ~wired:false
       | None ->
         raise
           (Machine.Memory_violation
@@ -488,7 +490,7 @@ let mixed_ops_agree arch ops =
   let rec apply = function
     | Enter (i, vpn, pfn) ->
       Hashtbl.replace models.(i) vpn (pfn, Prot.read_write);
-      pmaps.(i).Pmap.enter ~va:(vpn * ps) ~pfn ~prot:Prot.read_write
+      pmaps.(i).Pmap.enter ~va:(vpn * ps) ~pfn ~frames:1 ~prot:Prot.read_write
         ~wired:false
     | Remove (i, lo, n) ->
       for vpn = lo to lo + n - 1 do

@@ -538,6 +538,36 @@ let test_shootdown_urgent_overrides_lazy () =
     (Machine.stats m).Machine.ipis;
   Alcotest.(check int) "nothing pending" 0 (Machine.pending_flushes m ~cpu:1)
 
+(* A shootdown with no remote target flushes the initiator's TLB alone:
+   it counts once, interrupts nobody, and costs the same cycles whether
+   or not it is traced. *)
+let test_shootdown_local_only () =
+  let run ~traced targets =
+    let m, _table = shootdown_setup Machine.Immediate_ipi in
+    if traced then begin
+      let tr = Mach_obs.Obs.create () in
+      Mach_obs.Obs.set_enabled tr true;
+      Machine.set_tracer m tr
+    end;
+    Machine.shootdown m ~initiator:0 ~targets
+      (Machine.Flush_page { asid = 1; vpn = 0 }) ~urgent:true;
+    let s = Machine.stats m in
+    ( [ s.Machine.shootdowns; s.Machine.ipis;
+        Machine.cycles m ~cpu:0; Machine.cycles m ~cpu:1 ],
+      [ List.length (Machine.tlb_contents m ~cpu:0);
+        List.length (Machine.tlb_contents m ~cpu:1) ] )
+  in
+  List.iter
+    (fun targets ->
+       let counts, tlbs = run ~traced:false targets in
+       Alcotest.(check (list int)) "initiator flushed, remote kept" [ 0; 1 ]
+         tlbs;
+       Alcotest.(check (list int)) "one exchange, no IPI" [ 1; 0 ]
+         (List.filteri (fun i _ -> i < 2) counts);
+       Alcotest.(check (pair (list int) (list int))) "same when traced"
+         (counts, tlbs) (run ~traced:true targets))
+    [ []; [ 0 ] ]
+
 let test_rmw_bug_reporting () =
   (* On the NS32082, a write that protection-faults is reported as a
      read. *)
@@ -670,4 +700,5 @@ let () =
           Alcotest.test_case "lazy leaves stale entries" `Quick
             test_shootdown_lazy_stale;
           Alcotest.test_case "urgent overrides lazy" `Quick
-            test_shootdown_urgent_overrides_lazy ] ) ]
+            test_shootdown_urgent_overrides_lazy;
+          Alcotest.test_case "local only" `Quick test_shootdown_local_only ] ) ]

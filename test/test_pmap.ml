@@ -31,7 +31,7 @@ let test_enter_extract arch =
   let _m, domain = setup arch in
   let p = Pmap_domain.create_pmap domain in
   let ps = page arch in
-  p.Pmap.enter ~va:(3 * ps) ~pfn:7 ~prot:Prot.read_write ~wired:false;
+  p.Pmap.enter ~va:(3 * ps) ~pfn:7 ~frames:1 ~prot:Prot.read_write ~wired:false;
   Alcotest.(check (option int)) "extract" (Some 7) (p.Pmap.extract (3 * ps));
   Alcotest.(check (option int)) "extract mid-page" (Some 7)
     (p.Pmap.extract ((3 * ps) + (ps / 2)));
@@ -44,7 +44,7 @@ let test_remove_range arch =
   let p = Pmap_domain.create_pmap domain in
   let ps = page arch in
   for i = 0 to 9 do
-    p.Pmap.enter ~va:(i * ps) ~pfn:(10 + i) ~prot:Prot.read_write
+    p.Pmap.enter ~va:(i * ps) ~pfn:(10 + i) ~frames:1 ~prot:Prot.read_write
       ~wired:false
   done;
   p.Pmap.remove ~start_va:(2 * ps) ~end_va:(5 * ps);
@@ -57,8 +57,8 @@ let test_remove_range arch =
 let test_replace_mapping arch =
   let _m, domain = setup arch in
   let p = Pmap_domain.create_pmap domain in
-  p.Pmap.enter ~va:0 ~pfn:1 ~prot:Prot.read_write ~wired:false;
-  p.Pmap.enter ~va:0 ~pfn:2 ~prot:Prot.read_only ~wired:false;
+  p.Pmap.enter ~va:0 ~pfn:1 ~frames:1 ~prot:Prot.read_write ~wired:false;
+  p.Pmap.enter ~va:0 ~pfn:2 ~frames:1 ~prot:Prot.read_only ~wired:false;
   Alcotest.(check (option int)) "replaced" (Some 2) (p.Pmap.extract 0);
   Alcotest.(check int) "one mapping" 1 (p.Pmap.resident_count ());
   (* The pv layer tracks the replacement too. *)
@@ -71,8 +71,8 @@ let test_destroy_clears_pv arch =
   let _m, domain = setup arch in
   let p = Pmap_domain.create_pmap domain in
   let ps = page arch in
-  p.Pmap.enter ~va:0 ~pfn:5 ~prot:Prot.read_write ~wired:false;
-  p.Pmap.enter ~va:ps ~pfn:6 ~prot:Prot.read_write ~wired:false;
+  p.Pmap.enter ~va:0 ~pfn:5 ~frames:1 ~prot:Prot.read_write ~wired:false;
+  p.Pmap.enter ~va:ps ~pfn:6 ~frames:1 ~prot:Prot.read_write ~wired:false;
   p.Pmap.destroy ();
   Alcotest.(check int) "pv empty 5" 0 (Pmap_domain.mapping_count domain ~pfn:5);
   Alcotest.(check int) "pv empty 6" 0 (Pmap_domain.mapping_count domain ~pfn:6);
@@ -87,9 +87,10 @@ let test_remove_all arch =
   (* On the RT PC two pmaps cannot both map frame 9 (one mapping per
      physical page), so only p1 maps there and the common contract is
      checked: remove_all empties the pv list. *)
-  p1.Pmap.enter ~va:0 ~pfn:9 ~prot:Prot.read_write ~wired:false;
+  p1.Pmap.enter ~va:0 ~pfn:9 ~frames:1 ~prot:Prot.read_write ~wired:false;
   if arch.Arch.kind <> Arch.Rt_pc then
-    p2.Pmap.enter ~va:(4 * ps) ~pfn:9 ~prot:Prot.read_write ~wired:false;
+    p2.Pmap.enter ~va:(4 * ps) ~pfn:9 ~frames:1
+      ~prot:Prot.read_write ~wired:false;
   Alcotest.(check bool) "mapped" true
     (Pmap_domain.mapping_count domain ~pfn:9 >= 1);
   Pmap_domain.remove_all domain ~pfn:9 ~frames:1 ~urgent:true;
@@ -110,9 +111,10 @@ let test_page_run () =
   p1.Pmap.activate ~cpu:0;
   p2.Pmap.activate ~cpu:1;
   for f = 0 to frames - 1 do
-    p1.Pmap.enter ~va:(f * ps) ~pfn:(base + f) ~prot:Prot.read_write
+    p1.Pmap.enter ~va:(f * ps) ~pfn:(base + f) ~frames:1 ~prot:Prot.read_write
       ~wired:false;
-    p2.Pmap.enter ~va:((64 + f) * ps) ~pfn:(base + f) ~prot:Prot.read_write
+    p2.Pmap.enter ~va:((64 + f) * ps) ~pfn:(base + f) ~frames:1
+      ~prot:Prot.read_write
       ~wired:false
   done;
   let pv_entries () =
@@ -166,7 +168,7 @@ let test_protect_lowers arch =
   let p = Pmap_domain.create_pmap domain in
   let ps = page arch in
   p.Pmap.activate ~cpu:0;
-  p.Pmap.enter ~va:0 ~pfn:3 ~prot:Prot.read_write ~wired:false;
+  p.Pmap.enter ~va:0 ~pfn:3 ~frames:1 ~prot:Prot.read_write ~wired:false;
   (* The handler reloads dropped mappings at the currently intended
      protection (the fast-reload path on TLB-only machines) and records
      genuine protection faults. *)
@@ -176,7 +178,7 @@ let test_protect_lowers arch =
       (match f.Machine.fault_kind with
        | `Protection -> incr prot_faults
        | `Invalid -> ());
-      p.Pmap.enter ~va:0 ~pfn:3 ~prot:!cur_prot ~wired:false);
+      p.Pmap.enter ~va:0 ~pfn:3 ~frames:1 ~prot:!cur_prot ~wired:false);
   ignore (Machine.read_byte machine ~cpu:0 ~va:0);
   Machine.write_byte machine ~cpu:0 ~va:0 'x';
   Alcotest.(check int) "no protection faults before" 0 !prot_faults;
@@ -192,13 +194,13 @@ let test_protect_lowers arch =
 let test_copy_on_write_all_maps arch =
   let machine, domain = setup arch in
   let p = Pmap_domain.create_pmap domain in
-  p.Pmap.enter ~va:0 ~pfn:3 ~prot:Prot.read_write ~wired:false;
+  p.Pmap.enter ~va:0 ~pfn:3 ~frames:1 ~prot:Prot.read_write ~wired:false;
   p.Pmap.activate ~cpu:0;
   Pmap_domain.copy_on_write domain ~pfn:3 ~frames:1;
   let faulted = ref false in
   Machine.set_fault_handler machine (fun ~cpu:_ _ ->
       faulted := true;
-      p.Pmap.enter ~va:0 ~pfn:3 ~prot:Prot.read_write ~wired:false);
+      p.Pmap.enter ~va:0 ~pfn:3 ~frames:1 ~prot:Prot.read_write ~wired:false);
   Machine.write_byte machine ~cpu:0 ~va:0 'y';
   Alcotest.(check bool) "write faulted after pmap_copy_on_write" true
     !faulted
@@ -214,7 +216,7 @@ let test_pmap_is_a_cache arch =
   let model = Hashtbl.create 16 in
   for i = 0 to 7 do
     Hashtbl.replace model i (20 + i);
-    p.Pmap.enter ~va:(i * ps) ~pfn:(20 + i) ~prot:Prot.read_write
+    p.Pmap.enter ~va:(i * ps) ~pfn:(20 + i) ~frames:1 ~prot:Prot.read_write
       ~wired:false
   done;
   p.Pmap.activate ~cpu:0;
@@ -222,7 +224,8 @@ let test_pmap_is_a_cache arch =
       let vpn = f.Machine.fault_va / ps in
       match Hashtbl.find_opt model vpn with
       | Some pfn ->
-        p.Pmap.enter ~va:(vpn * ps) ~pfn ~prot:Prot.read_write ~wired:false
+        p.Pmap.enter ~va:(vpn * ps) ~pfn ~frames:1
+          ~prot:Prot.read_write ~wired:false
       | None -> Alcotest.fail "fault outside model");
   for i = 0 to 7 do
     Machine.write machine ~cpu:0 ~va:(i * ps)
@@ -244,7 +247,7 @@ let test_modify_reference_bits arch =
   let machine, domain = setup arch in
   let p = Pmap_domain.create_pmap domain in
   p.Pmap.activate ~cpu:0;
-  p.Pmap.enter ~va:0 ~pfn:4 ~prot:Prot.read_write ~wired:false;
+  p.Pmap.enter ~va:0 ~pfn:4 ~frames:1 ~prot:Prot.read_write ~wired:false;
   Alcotest.(check bool) "initially clean" false
     (Pmap_domain.is_modified domain ~pfn:4 ~frames:1);
   ignore (Machine.read_byte machine ~cpu:0 ~va:0);
@@ -271,11 +274,11 @@ let test_activate_switches arch =
       let p = !active in
       match p.Pmap.extract f.Machine.fault_va with
       | Some pfn ->
-        p.Pmap.enter ~va:f.Machine.fault_va ~pfn ~prot:Prot.read_write
+        p.Pmap.enter ~va:f.Machine.fault_va ~pfn ~frames:1 ~prot:Prot.read_write
           ~wired:false
       | None -> Alcotest.fail "fault on unmapped address");
-  p1.Pmap.enter ~va:0 ~pfn:1 ~prot:Prot.read_write ~wired:false;
-  p2.Pmap.enter ~va:0 ~pfn:2 ~prot:Prot.read_write ~wired:false;
+  p1.Pmap.enter ~va:0 ~pfn:1 ~frames:1 ~prot:Prot.read_write ~wired:false;
+  p2.Pmap.enter ~va:0 ~pfn:2 ~frames:1 ~prot:Prot.read_write ~wired:false;
   Phys_mem.write (Machine.phys machine) 1 ~offset:0 (Bytes.of_string "one");
   Phys_mem.write (Machine.phys machine) 2 ~offset:0 (Bytes.of_string "two");
   p1.Pmap.activate ~cpu:0;
@@ -300,8 +303,8 @@ let test_wired_survives_collect arch =
   let _m, domain = setup arch in
   let p = Pmap_domain.create_pmap domain in
   let ps = page arch in
-  p.Pmap.enter ~va:0 ~pfn:3 ~prot:Prot.read_write ~wired:true;
-  p.Pmap.enter ~va:ps ~pfn:4 ~prot:Prot.read_write ~wired:false;
+  p.Pmap.enter ~va:0 ~pfn:3 ~frames:1 ~prot:Prot.read_write ~wired:true;
+  p.Pmap.enter ~va:ps ~pfn:4 ~frames:1 ~prot:Prot.read_write ~wired:false;
   p.Pmap.collect ();
   Alcotest.(check (option int)) "wired kept" (Some 3) (p.Pmap.extract 0);
   Alcotest.(check (option int)) "unwired dropped" None (p.Pmap.extract ps);
@@ -311,7 +314,7 @@ let test_remove_empty_range arch =
   let _m, domain = setup arch in
   let p = Pmap_domain.create_pmap domain in
   let ps = page arch in
-  p.Pmap.enter ~va:0 ~pfn:3 ~prot:Prot.read_write ~wired:false;
+  p.Pmap.enter ~va:0 ~pfn:3 ~frames:1 ~prot:Prot.read_write ~wired:false;
   (* Removing a range with no mappings is a harmless no-op. *)
   p.Pmap.remove ~start_va:(10 * ps) ~end_va:(20 * ps);
   Alcotest.(check int) "untouched" 1 (p.Pmap.resident_count ())
@@ -319,18 +322,18 @@ let test_remove_empty_range arch =
 let test_double_activate_idempotent arch =
   let machine, domain = setup arch in
   let p = Pmap_domain.create_pmap domain in
-  p.Pmap.enter ~va:0 ~pfn:2 ~prot:Prot.read_write ~wired:false;
+  p.Pmap.enter ~va:0 ~pfn:2 ~frames:1 ~prot:Prot.read_write ~wired:false;
   p.Pmap.activate ~cpu:0;
   p.Pmap.activate ~cpu:0;
   Machine.set_fault_handler machine (fun ~cpu:_ _ ->
-      p.Pmap.enter ~va:0 ~pfn:2 ~prot:Prot.read_write ~wired:false);
+      p.Pmap.enter ~va:0 ~pfn:2 ~frames:1 ~prot:Prot.read_write ~wired:false);
   Machine.write_byte machine ~cpu:0 ~va:0 'a';
   Alcotest.(check char) "works" 'a' (Machine.read_byte machine ~cpu:0 ~va:0)
 
 let test_reference_counting arch =
   let _m, domain = setup arch in
   let p = Pmap_domain.create_pmap domain in
-  p.Pmap.enter ~va:0 ~pfn:3 ~prot:Prot.read_write ~wired:false;
+  p.Pmap.enter ~va:0 ~pfn:3 ~frames:1 ~prot:Prot.read_write ~wired:false;
   (* Two tasks share the pmap: the first destroy only drops a
      reference. *)
   p.Pmap.reference ();
@@ -351,8 +354,8 @@ let test_vax_table_gc () =
   let base = p.Pmap.map_bytes () in
   (* Map two pages far apart: two table pages appear; removing the
      mappings garbage collects them. *)
-  p.Pmap.enter ~va:0 ~pfn:1 ~prot:Prot.read_write ~wired:false;
-  p.Pmap.enter ~va:(100 * 1024 * 1024) ~pfn:2 ~prot:Prot.read_write
+  p.Pmap.enter ~va:0 ~pfn:1 ~frames:1 ~prot:Prot.read_write ~wired:false;
+  p.Pmap.enter ~va:(100 * 1024 * 1024) ~pfn:2 ~frames:1 ~prot:Prot.read_write
     ~wired:false;
   Alcotest.(check bool) "tables grew" true (p.Pmap.map_bytes () > base);
   p.Pmap.remove ~start_va:0 ~end_va:512;
@@ -365,9 +368,9 @@ let test_rtpc_alias_eviction () =
   let p1 = Pmap_domain.create_pmap domain in
   let p2 = Pmap_domain.create_pmap domain in
   let ps = page Arch.rt_pc in
-  p1.Pmap.enter ~va:0 ~pfn:9 ~prot:Prot.read_write ~wired:false;
+  p1.Pmap.enter ~va:0 ~pfn:9 ~frames:1 ~prot:Prot.read_write ~wired:false;
   (* p2 mapping the same physical page evicts p1's mapping. *)
-  p2.Pmap.enter ~va:(5 * ps) ~pfn:9 ~prot:Prot.read_only ~wired:false;
+  p2.Pmap.enter ~va:(5 * ps) ~pfn:9 ~frames:1 ~prot:Prot.read_only ~wired:false;
   Alcotest.(check (option int)) "p1 evicted" None (p1.Pmap.extract 0);
   Alcotest.(check (option int)) "p2 mapped" (Some 9)
     (p2.Pmap.extract (5 * ps));
@@ -376,7 +379,7 @@ let test_rtpc_alias_eviction () =
   Alcotest.(check int) "exactly one mapping" 1
     (Pmap_domain.mapping_count domain ~pfn:9);
   (* Bouncing back evicts p2 in turn. *)
-  p1.Pmap.enter ~va:0 ~pfn:9 ~prot:Prot.read_write ~wired:false;
+  p1.Pmap.enter ~va:0 ~pfn:9 ~frames:1 ~prot:Prot.read_write ~wired:false;
   Alcotest.(check (option int)) "p2 evicted back" None
     (p2.Pmap.extract (5 * ps))
 
@@ -385,7 +388,7 @@ let test_rtpc_map_bytes_constant () =
   let p = Pmap_domain.create_pmap domain in
   let before = Pmap_domain.total_map_bytes domain in
   for i = 0 to 19 do
-    p.Pmap.enter ~va:(i * 2048 * 1000) ~pfn:i ~prot:Prot.read_write
+    p.Pmap.enter ~va:(i * 2048 * 1000) ~pfn:i ~frames:1 ~prot:Prot.read_write
       ~wired:false
   done;
   (* The inverted table never grows with address-space size. *)
@@ -398,7 +401,7 @@ let test_sun3_context_steal () =
   let pmaps = List.init 9 (fun _ -> Pmap_domain.create_pmap domain) in
   List.iteri
     (fun i p ->
-       p.Pmap.enter ~va:0 ~pfn:i ~prot:Prot.read_write ~wired:false)
+       p.Pmap.enter ~va:0 ~pfn:i ~frames:1 ~prot:Prot.read_write ~wired:false)
     pmaps;
   (* The 9th enter stole the least-recently-used context (the first
      pmap's); its mappings are gone and will be rebuilt by faults. *)
@@ -412,7 +415,7 @@ let test_sun3_context_steal () =
   Alcotest.(check int) "victim pv cleaned" 0
     (Pmap_domain.mapping_count domain ~pfn:0);
   (* The victim coming back steals another context and can re-enter. *)
-  first.Pmap.enter ~va:ps ~pfn:20 ~prot:Prot.read_write ~wired:false;
+  first.Pmap.enter ~va:ps ~pfn:20 ~frames:1 ~prot:Prot.read_write ~wired:false;
   Alcotest.(check (option int)) "victim recovered" (Some 20)
     (first.Pmap.extract ps)
 
@@ -422,10 +425,11 @@ let test_ns32082_limits () =
   Alcotest.check_raises "VA beyond 16MB"
     (Invalid_argument "pmap_enter: virtual address beyond hardware limit")
     (fun () ->
-       p.Pmap.enter ~va:(17 * 1024 * 1024) ~pfn:1 ~prot:Prot.read_write
+       p.Pmap.enter ~va:(17 * 1024 * 1024) ~pfn:1 ~frames:1
+         ~prot:Prot.read_write
          ~wired:false);
   (* In-range addresses and frames work normally. *)
-  p.Pmap.enter ~va:0 ~pfn:1 ~prot:Prot.read_write ~wired:false;
+  p.Pmap.enter ~va:0 ~pfn:1 ~frames:1 ~prot:Prot.read_write ~wired:false;
   Alcotest.(check (option int)) "in range ok" (Some 1) (p.Pmap.extract 0)
 
 let test_ns32082_pa_limit () =
@@ -440,14 +444,15 @@ let test_ns32082_pa_limit () =
   Alcotest.check_raises "PA beyond 32MB"
     (Invalid_argument "pmap_enter: physical page beyond hardware limit")
     (fun () ->
-       p.Pmap.enter ~va:0 ~pfn:beyond ~prot:Prot.read_write ~wired:false)
+       p.Pmap.enter ~va:0 ~pfn:beyond ~frames:1
+         ~prot:Prot.read_write ~wired:false)
 
 let test_tlbonly_no_structures () =
   let machine, domain = setup Arch.rp3_tlb in
   let p = Pmap_domain.create_pmap domain in
   let ps = page Arch.rp3_tlb in
   p.Pmap.activate ~cpu:0;
-  p.Pmap.enter ~va:0 ~pfn:3 ~prot:Prot.read_write ~wired:false;
+  p.Pmap.enter ~va:0 ~pfn:3 ~frames:1 ~prot:Prot.read_write ~wired:false;
   Alcotest.(check int) "map_bytes 0" 0 (p.Pmap.map_bytes ());
   (* First access hits the TLB that enter filled; no fault. *)
   Machine.set_fault_handler machine (fun ~cpu:_ _ ->
@@ -461,10 +466,11 @@ let test_tlbonly_no_structures () =
       let vpn = f.Machine.fault_va / ps in
       match p.Pmap.extract (vpn * ps) with
       | Some pfn ->
-        p.Pmap.enter ~va:(vpn * ps) ~pfn ~prot:Prot.read_write ~wired:false
+        p.Pmap.enter ~va:(vpn * ps) ~pfn ~frames:1
+          ~prot:Prot.read_write ~wired:false
       | None -> Alcotest.fail "no soft mapping");
   for i = 1 to Arch.rp3_tlb.Arch.tlb_entries + 4 do
-    p.Pmap.enter ~va:(i * ps) ~pfn:(3 + i) ~prot:Prot.read_write
+    p.Pmap.enter ~va:(i * ps) ~pfn:(3 + i) ~frames:1 ~prot:Prot.read_write
       ~wired:false
   done;
   Alcotest.(check char) "data survives reload" 'q'
@@ -491,7 +497,7 @@ let pmap_model_test arch =
          (fun (op, vpn, pfn) ->
             match op with
             | 0 ->
-              p.Pmap.enter ~va:(vpn * ps) ~pfn ~prot:Prot.read_write
+              p.Pmap.enter ~va:(vpn * ps) ~pfn ~frames:1 ~prot:Prot.read_write
                 ~wired:false;
               Hashtbl.replace model vpn pfn
             | 1 ->
@@ -623,7 +629,7 @@ let table_pmap_range_test arch =
        in
        let step = function
          | T_enter (v, pfn, prot, wired) ->
-           p.Pmap.enter ~va:(v * ps) ~pfn ~prot ~wired;
+           p.Pmap.enter ~va:(v * ps) ~pfn ~frames:1 ~prot ~wired;
            incr enters;
            (match Hashtbl.find_opt model v with
             | Some (old, _, _) when old <> pfn -> incr removals
@@ -653,6 +659,230 @@ let table_pmap_range_test arch =
              (fun pfn -> Pmap_domain.mapping_count domain ~pfn = 0)
              (List.init 256 Fun.id)))
 
+(* ---- page runs ----------------------------------------------------------- *)
+
+(* [enter ~frames:n] must be exactly [n] one-frame enters in ascending
+   order.  Twin domains replay the same history — a second pmap mapping
+   the run's frames first (so pv lists hold two entries), a prelude in
+   the first pmap — and then one enters the run as one call, the other
+   frame by frame.  Both pmaps run on both CPUs, so replacing a cached
+   translation costs IPIs.  Afterwards everything observable must agree:
+   the raised exception, extract, pv lists and their order, counters,
+   cycles, shootdowns and IPIs. *)
+type run = { vpn : int; pfn : int; frames : int; prot : Prot.t }
+
+let run_cases arch =
+  let ps = page arch in
+  let ptes =
+    if arch.Arch.pte_bytes > 0 then ps / arch.Arch.pte_bytes else 64
+  in
+  let run ?(prot = Prot.read_write) vpn pfn frames =
+    { vpn; pfn; frames; prot }
+  in
+  let past_limit =
+    match arch.Arch.kind with
+    | Arch.Rt_pc -> run 2 253 8 (* the inverted table has 256 frames *)
+    | Arch.Tlb_only -> run (-3) 10 8 (* no limit but non-negative va *)
+    | Arch.Vax | Arch.Sun3 | Arch.Ns32082 ->
+      run ((arch.Arch.user_va_limit / ps) - 3) 10 8
+  in
+  [ ("fresh run", [], run 2 10 8);
+    ("same frames, lower protection", [ run 2 10 8 ],
+     run ~prot:Prot.read_only 2 10 8);
+    ("other frames", [ run 2 10 8 ], run 2 40 8);
+    ("over a lone mapping", [ run 2 10 1 ], run 2 40 8);
+    ("across a table page", [ run (ptes - 1) 60 1 ], run (ptes - 3) 10 8);
+    ("past the hardware limit", [ run 2 30 1 ], past_limit) ]
+
+let twin_check arch ~memory_frames (case, prelude, r) =
+  let ps = page arch in
+  let boot () =
+    let m = Machine.create ~arch ~memory_frames ~cpus:2 () in
+    let d = Pmap_domain.create m in
+    let pa = Pmap_domain.create_pmap d and pb = Pmap_domain.create_pmap d in
+    pa.Pmap.activate ~cpu:0;
+    pb.Pmap.activate ~cpu:1;
+    pa.Pmap.activate ~cpu:1;
+    for i = 0 to r.frames - 1 do
+      (* Frames the hardware cannot map stay unmapped here. *)
+      try
+        pb.Pmap.enter ~va:((200 + i) * ps) ~pfn:(r.pfn + i) ~frames:1
+          ~prot:Prot.read_write ~wired:false
+      with Invalid_argument _ -> ()
+    done;
+    List.iter
+      (fun q ->
+         for i = 0 to q.frames - 1 do
+           pa.Pmap.enter ~va:((q.vpn + i) * ps) ~pfn:(q.pfn + i) ~frames:1
+             ~prot:q.prot ~wired:false
+         done)
+      prelude;
+    (m, d, pa)
+  in
+  let attempt f = match f () with () -> None | exception e -> Some e in
+  let m1, d1, p1 = boot () and m2, d2, p2 = boot () in
+  let raised1 =
+    attempt (fun () ->
+        p1.Pmap.enter ~va:(r.vpn * ps) ~pfn:r.pfn ~frames:r.frames
+          ~prot:r.prot ~wired:false)
+  in
+  let raised2 =
+    attempt (fun () ->
+        for i = 0 to r.frames - 1 do
+          p2.Pmap.enter ~va:((r.vpn + i) * ps) ~pfn:(r.pfn + i) ~frames:1
+            ~prot:r.prot ~wired:false
+        done)
+  in
+  let vpns =
+    List.concat_map
+      (fun q -> List.init (q.frames + 4) (fun i -> q.vpn - 2 + i))
+      (r :: prelude)
+  in
+  let pfns =
+    List.concat_map
+      (fun q -> List.init (q.frames + 4) (fun i -> q.pfn - 2 + i))
+      (r :: prelude)
+    |> List.filter (fun pfn -> pfn >= 0 && pfn < memory_frames)
+  in
+  let observe m d p =
+    let s = p.Pmap.stats and st = Machine.stats m in
+    ( List.map (fun v -> p.Pmap.extract (v * ps)) vpns,
+      List.map (fun pfn -> Pmap_domain.mappings_of d ~pfn) pfns,
+      [ s.Pmap.enters; s.Pmap.removals; s.Pmap.protect_ops;
+        s.Pmap.alias_evictions; s.Pmap.context_steals; s.Pmap.cache_drops;
+        p.Pmap.resident_count (); p.Pmap.map_bytes ();
+        Machine.cycles m ~cpu:0; Machine.cycles m ~cpu:1;
+        st.Machine.shootdowns; st.Machine.ipis ] )
+  in
+  let show = Option.map Printexc.to_string in
+  let what s = case ^ ": " ^ s in
+  Alcotest.(check (option string)) (what "same exception") (show raised2)
+    (show raised1);
+  let x1, pv1, n1 = observe m1 d1 p1 and x2, pv2, n2 = observe m2 d2 p2 in
+  Alcotest.(check (list (option int))) (what "extract") x2 x1;
+  Alcotest.(check (list (list (pair int int))))
+    (what "pv lists, in order") pv2 pv1;
+  Alcotest.(check (list int))
+    (what "counters, resident, bytes, cycles, shootdowns, IPIs") n2 n1
+
+let test_run_equivalence arch =
+  List.iter (twin_check arch ~memory_frames:256) (run_cases arch)
+
+(* The NS32082 reaches only 32 MB of physical memory: a run across that
+   limit on a larger machine raises at the first frame beyond it. *)
+let test_run_equivalence_pa_limit () =
+  let arch = Arch.ns32082 in
+  let ps = page arch in
+  let limit = (32 * 1024 * 1024) / ps in
+  twin_check arch ~memory_frames:((40 * 1024 * 1024) / ps)
+    ( "past the physical limit",
+      [],
+      { vpn = 2; pfn = limit - 3; frames = 8; prot = Prot.read_write } )
+
+(* Traced, a run still leaves one Pmap_enter event per frame. *)
+let test_run_traced () =
+  let arch = Arch.uvax2 in
+  let m, d = setup arch in
+  let tr = Mach_obs.Obs.create () in
+  Mach_obs.Obs.set_enabled tr true;
+  Machine.set_tracer m tr;
+  let p = Pmap_domain.create_pmap d in
+  let ps = page arch in
+  p.Pmap.enter ~va:(4 * ps) ~pfn:16 ~frames:8 ~prot:Prot.read_write
+    ~wired:false;
+  let enters = ref [] in
+  Mach_obs.Ring.iter
+    (fun r ->
+       match r.Mach_obs.Obs.ev with
+       | Mach_obs.Obs.Pmap_enter { va; pfn; _ } ->
+         enters := (va / ps, pfn) :: !enters
+       | _ -> ())
+    (Mach_obs.Obs.ring tr);
+  Alcotest.(check (list (pair int int))) "one event per frame"
+    (List.init 8 (fun i -> (4 + i, 16 + i)))
+    (List.rev !enters)
+
+(* Exchange counts pinned on a 4-CPU VAX 8200: a page of 8 frames mapped
+   in two pmaps, one run on CPUs 0-1, the other on CPUs 2-3, the kernel
+   on CPU 0.  Each mapped frame is exactly one exchange whatever the
+   number of pmaps mapping it, each reaching the 3 remote CPUs once; a
+   frame mapped in one pmap reaches only that pmap's remote CPU.  Pv
+   lists put the newest mapping first. *)
+let test_exchange_counts () =
+  let arch = Arch.vax8200 in
+  let machine =
+    Machine.create ~arch ~memory_frames:256 ~cpus:4 ()
+  in
+  let domain = Pmap_domain.create machine in
+  let ps = page arch and base = 16 and frames = 8 in
+  let p1 = Pmap_domain.create_pmap domain in
+  let p2 = Pmap_domain.create_pmap domain in
+  List.iter (fun cpu -> p1.Pmap.activate ~cpu) [ 0; 1 ];
+  List.iter (fun cpu -> p2.Pmap.activate ~cpu) [ 2; 3 ];
+  let map_both () =
+    p1.Pmap.enter ~va:0 ~pfn:base ~frames ~prot:Prot.read_write ~wired:false;
+    p2.Pmap.enter ~va:(64 * ps) ~pfn:base ~frames ~prot:Prot.read_write
+      ~wired:false
+  in
+  let counts f =
+    Machine.reset_clocks machine;
+    f ();
+    let s = Machine.stats machine in
+    (s.Machine.shootdowns, s.Machine.ipis)
+  in
+  map_both ();
+  for f = 0 to frames - 1 do
+    Alcotest.(check (list (pair int int)))
+      (Printf.sprintf "frame %d: newest first" f)
+      [ (p2.Pmap.asid, 64 + f); (p1.Pmap.asid, f) ]
+      (Pmap_domain.mappings_of domain ~pfn:(base + f))
+  done;
+  Alcotest.(check (pair int int)) "copy_on_write: 8 exchanges, 24 IPIs"
+    (frames, 3 * frames)
+    (counts (fun () -> Pmap_domain.copy_on_write domain ~pfn:base ~frames));
+  Alcotest.(check (list (pair int int))) "protecting keeps the order"
+    [ (p2.Pmap.asid, 64); (p1.Pmap.asid, 0) ]
+    (Pmap_domain.mappings_of domain ~pfn:base);
+  Alcotest.(check (pair int int)) "remove_all: 8 exchanges, 24 IPIs"
+    (frames, 3 * frames)
+    (counts (fun () ->
+         Pmap_domain.remove_all domain ~pfn:base ~frames ~urgent:false));
+  Alcotest.(check int) "all unmapped" 0
+    (Pmap_domain.mapping_count domain ~pfn:base);
+  p1.Pmap.enter ~va:0 ~pfn:base ~frames ~prot:Prot.read_write ~wired:false;
+  Alcotest.(check (pair int int)) "one pmap: 8 exchanges, 8 IPIs"
+    (frames, frames)
+    (counts (fun () ->
+         Pmap_domain.remove_all domain ~pfn:base ~frames ~urgent:true));
+  Alcotest.(check (pair int int)) "unmapped page: nothing" (0, 0)
+    (counts (fun () -> Pmap_domain.copy_on_write domain ~pfn:base ~frames))
+
+(* Asids are never reused and keys hold them in 22 bits: the last asid a
+   key can hold is handed out, and the pmap creation after it fails.  An
+   entry of that asid at the highest vpn survives packing. *)
+let test_asid_limit () =
+  let machine =
+    Machine.create ~arch:Arch.rp3_tlb ~memory_frames:16 ~cpus:1 ()
+  in
+  let ctx = Backend.create machine in
+  let last = Tlb.asid_limit - 1 and top_vpn = (1 lsl 40) - 1 in
+  ctx.Backend.next_asid <- last;
+  Alcotest.(check int) "last asid handed out" last (Backend.fresh_asid ctx);
+  Alcotest.check_raises "then creation fails"
+    (Invalid_argument "pmap_create: asids exhausted") (fun () ->
+        ignore (Backend.fresh_asid ctx));
+  Pv.insert ctx.Backend.pv ~pfn:3 ~asid:last ~vpn:top_vpn;
+  Alcotest.(check (list (pair int int))) "entry unpacks"
+    [ (last, top_vpn) ]
+    (List.map
+       (fun m -> (Pv.asid_of m, Pv.vpn_of m))
+       (Pv.mappings ctx.Backend.pv ~pfn:3));
+  Alcotest.check_raises "a vpn past 40 bits is refused"
+    (Invalid_argument "Pv.insert: asid or virtual page out of range")
+    (fun () -> Pv.insert ctx.Backend.pv ~pfn:3 ~asid:1 ~vpn:(1 lsl 40));
+  Pv.remove ctx.Backend.pv ~pfn:3 ~asid:last ~vpn:top_vpn;
+  Alcotest.(check int) "removed" 0 (Pv.mapping_count ctx.Backend.pv ~pfn:3)
+
 let () =
   Alcotest.run "mach_pmap"
     [ ("enter/extract", per_arch "enter/extract" test_enter_extract);
@@ -674,6 +904,15 @@ let () =
       ( "reactivate",
         per_arch "double activate" test_double_activate_idempotent );
       ("refcount", per_arch "pmap_reference" test_reference_counting);
+      ( "page run",
+        per_arch "run equals single frames" test_run_equivalence
+        @ [ Alcotest.test_case "run equals single frames, NS32082 PA limit"
+              `Quick test_run_equivalence_pa_limit;
+            Alcotest.test_case "traced run: one event per frame" `Quick
+              test_run_traced;
+            Alcotest.test_case "VAX 8200 exchange counts" `Quick
+              test_exchange_counts;
+            Alcotest.test_case "asid limit" `Quick test_asid_limit ] );
       ( "vax",
         [ Alcotest.test_case "page tables grow and collect" `Quick
             test_vax_table_gc ] );

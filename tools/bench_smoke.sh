@@ -73,7 +73,8 @@
 #
 # And the host-time sampler: tools/hostprof must sample about 1 s of
 # mp_shared's measured phase and write non-empty folded stacks with at
-# least one pmap or VM frame in them.
+# least one pmap or VM frame in them.  Its --top table of the 10
+# heaviest frames, by self and by inclusive share, is printed as is.
 #
 # And, last, one comparison of every cell: a full bench run must write
 # all 224 cells string-equal to the committed BENCH_vm.json, names,
@@ -713,7 +714,7 @@ rm -f "$run_a.stats" "$run_b.stats"
 
 # ---- host-time sampler ---------------------------------------------------
 dune exec tools/hostprof/hostprof.exe -- --workload mp_shared --seconds 1 \
-    -o "$folded" 2>/dev/null
+    -o "$folded" --top 10 2>/dev/null
 if [ ! -s "$folded" ]; then
     echo "bench-smoke: FAIL hostprof wrote no stacks" >&2
     fail=1
@@ -749,4 +750,4 @@ fi
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "bench-smoke: OK (24 shootdown cells at baseline, zero-overhead guards clean, chaos run deterministic with 0 corrupt pages — also under --alloc-cache 8, clustered read-ahead beats UNIX on cold reads and is free at cluster_max=1, async disk overlaps at w>=8 and replays under chaos, profiler conserves every cycle with 0 dropped events, stats and compile JSON carry the vm_statistics object, mpfault scales on private objects and stalls on shared ones with burst=1 free to the digit, per-CPU magazines meet or beat the global queue at 8 CPUs, pressure sweep survives 4x overcommit with deterministic OOM kills, stream slots un-interfere 8 shared-file readers and are free to the digit for one, chaos replays with --streams 8 --free-behind, all 198 pre-stream cells intact, hostprof samples mp_shared, all 224 cells of a full run equal to BENCH_vm.json)"
+echo "bench-smoke: OK (24 shootdown cells at baseline, zero-overhead guards clean, chaos run deterministic with 0 corrupt pages — also under --alloc-cache 8, clustered read-ahead beats UNIX on cold reads and is free at cluster_max=1, async disk overlaps at w>=8 and replays under chaos, profiler conserves every cycle with 0 dropped events, stats and compile JSON carry the vm_statistics object, mpfault scales on private objects and stalls on shared ones with burst=1 free to the digit, per-CPU magazines meet or beat the global queue at 8 CPUs, pressure sweep survives 4x overcommit with deterministic OOM kills, stream slots un-interfere 8 shared-file readers and are free to the digit for one, chaos replays with --streams 8 --free-behind, all 198 pre-stream cells intact, hostprof samples mp_shared and prints its top frames, all 224 cells of a full run equal to BENCH_vm.json)"

@@ -11,7 +11,13 @@
 
      dune build ./tools/hostprof/hostprof.exe
      _build/default/tools/hostprof/hostprof.exe --workload overcommit \
-       --seconds 5 -o overcommit.folded
+       --seconds 5 -o overcommit.folded --top 15
+
+   With [--top N] the N heaviest frames follow on standard output (after
+   the stacks, when those go there too), once by self share — samples
+   with the frame innermost — and once by inclusive share — samples with
+   the frame anywhere on the stack.  Those lines start with [#], so
+   flame-graph tools skip them.
 
    The OCaml 5 runtime runs a signal handler at the next poll point
    (an allocation, a function entry or a loop back-edge), not at the
@@ -27,6 +33,7 @@ let workload = ref ""
 let seed = ref 1
 let seconds = ref 1.0
 let out = ref ""
+let top = ref 0
 
 (* A sample every 1 ms of CPU time (the kernel may round this up to its
    tick), keeping the innermost 96 frames. *)
@@ -70,30 +77,49 @@ let frame_name slot =
       | Some l -> Printf.sprintf "%s:%d" l.Printexc.filename l.Printexc.line_number
       | None -> "?")
 
-(* Outermost frame first.  [on_prof] itself is the innermost frame. *)
-let fold bt =
+(* Innermost frame first, without [on_prof] itself. *)
+let frames bt =
   match Printexc.backtrace_slots bt with
   | None -> None
   | Some slots ->
-    let names =
-      Array.to_list slots |> List.map frame_name
-      |> List.filter (fun n -> n <> "Dune__exe__Hostprof.on_prof")
-    in
-    Some (String.concat ";" (List.rev names))
+    Some
+      (Array.to_list slots |> List.map frame_name
+       |> List.filter (fun n -> n <> "Dune__exe__Hostprof.on_prof"))
 
-let write oc =
-  let counts = Hashtbl.create 1024 in
-  List.iter
-    (fun bt ->
-       match fold bt with
-       | Some s ->
-         Hashtbl.replace counts s
-           (1 + Option.value ~default:0 (Hashtbl.find_opt counts s))
-       | None -> ())
-    !samples;
+let bump counts key =
+  Hashtbl.replace counts key
+    (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
+
+(* Heaviest first, ties by name. *)
+let ranked counts =
   Hashtbl.fold (fun s n acc -> (n, s) :: acc) counts []
   |> List.sort (fun (a, s) (b, t) -> if a <> b then compare b a else compare s t)
-  |> List.iter (fun (n, s) -> Printf.fprintf oc "%s %d\n" s n)
+
+(* Folded stacks, outermost frame first. *)
+let write oc stacks =
+  let counts = Hashtbl.create 1024 in
+  List.iter (fun names -> bump counts (String.concat ";" (List.rev names)))
+    stacks;
+  List.iter (fun (n, s) -> Printf.fprintf oc "%s %d\n" s n) (ranked counts)
+
+let print_top n stacks =
+  let total = List.length stacks in
+  let self = Hashtbl.create 256 and incl = Hashtbl.create 256 in
+  List.iter
+    (fun names ->
+       (match names with inner :: _ -> bump self inner | [] -> ());
+       List.iter (bump incl) (List.sort_uniq compare names))
+    stacks;
+  let share k = 100. *. float_of_int k /. float_of_int (max 1 total) in
+  List.iter
+    (fun (what, counts) ->
+       Printf.printf "# top %d frames by %s share of %d samples\n" n what
+         total;
+       List.iteri
+         (fun i (k, name) ->
+            if i < n then Printf.printf "# %5.1f%%  %s\n" (share k) name)
+         (ranked counts))
+    [ ("self", self); ("inclusive", incl) ]
 
 let () =
   Arg.parse
@@ -102,9 +128,12 @@ let () =
       ("--seed", Arg.Set_int seed, "N input seed (default 1)");
       ("--seconds", Arg.Set_float seconds,
        "S CPU seconds of measured phase to sample (default 1)");
-      ("-o", Arg.Set_string out, "FILE write the folded stacks here") ]
+      ("-o", Arg.Set_string out, "FILE write the folded stacks here");
+      ("--top", Arg.Set_int top,
+       "N then print the N heaviest frames by self and inclusive share") ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "hostprof.exe --workload NAME [--seed N] [--seconds S] [-o FILE]";
+    "hostprof.exe --workload NAME [--seed N] [--seconds S] [-o FILE] \
+     [--top N]";
   if not (List.mem_assoc !workload Gen.workloads) then begin
     prerr_endline ("unknown workload: " ^ !workload);
     exit 2
@@ -121,8 +150,10 @@ let () =
   set_timer 0.;
   Printf.eprintf "hostprof: %s seed %d: %d samples over %d replay(s)\n"
     !workload !seed (List.length !samples) runs;
-  if !out = "" then write stdout
+  let stacks = List.filter_map frames !samples in
+  if !out = "" then write stdout stacks
   else begin
     let oc = open_out !out in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc)
-  end
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc stacks)
+  end;
+  if !top > 0 then print_top !top stacks
