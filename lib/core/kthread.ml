@@ -10,16 +10,13 @@ type t = {
   mutable th_steps : step list;
 }
 
-let next_id = ref 0
-
-let make ~task ?name steps =
-  incr next_id;
+let make ~id ~task ?name steps =
   let name =
     match name with
     | Some n -> n
-    | None -> Printf.sprintf "thread-%d" !next_id
+    | None -> Printf.sprintf "thread-%d" id
   in
-  { th_id = !next_id; th_name = name; th_task = task; th_status = Ready;
+  { th_id = id; th_name = name; th_task = task; th_status = Ready;
     th_steps = steps }
 
 let id t = t.th_id

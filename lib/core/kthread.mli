@@ -22,9 +22,10 @@ type step = cpu:int -> unit
 
 type t
 
-val make : task:Task.t -> ?name:string -> step list -> t
-(** [make ~task steps] is a new thread of [task], ready to run.
-    Normally created through {!Sched.spawn}. *)
+val make : id:int -> task:Task.t -> ?name:string -> step list -> t
+(** [make ~id ~task steps] is thread [id] of [task], ready to run.
+    Normally created through {!Sched.spawn}, which numbers its threads
+    1, 2, ... *)
 
 val id : t -> int
 val name : t -> string

@@ -4,12 +4,14 @@ type t = {
   kernel : Kernel.t;
   ready : Kthread.t Queue.t;
   mutable all : Kthread.t list; (* newest first *)
+  mutable last_id : int;        (* the last thread id handed out *)
 }
 
-let create kernel = { kernel; ready = Queue.create (); all = [] }
+let create kernel = { kernel; ready = Queue.create (); all = []; last_id = 0 }
 
 let spawn t ~task ?name steps =
-  let th = Kthread.make ~task ?name steps in
+  t.last_id <- t.last_id + 1;
+  let th = Kthread.make ~id:t.last_id ~task ?name steps in
   t.all <- th :: t.all;
   Queue.add th t.ready;
   th

@@ -13,7 +13,8 @@ val create : Kernel.t -> t
 (** [create kernel] is a scheduler over [kernel]'s machine. *)
 
 val spawn : t -> task:Task.t -> ?name:string -> Kthread.step list -> Kthread.t
-(** [spawn t ~task steps] creates a thread and enqueues it. *)
+(** [spawn t ~task steps] creates a thread and enqueues it.  Threads are
+    numbered per scheduler, starting at 1. *)
 
 val alive : t -> int
 (** Threads not yet terminated. *)

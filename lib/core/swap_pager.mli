@@ -17,12 +17,12 @@ val make : Vm_sys.t -> name:string -> Types.pager
     object.  Reads of never-written offsets answer [Data_unavailable]
     (zero fill). *)
 
-val stored_bytes : Types.pager -> int
-(** [stored_bytes p] is how much backing store [p] currently holds; 0 for
-    pagers not made by this module.  Used by tests. *)
+val stored_bytes : Vm_sys.t -> Types.pager -> int
+(** [stored_bytes sys p] is how much backing store [p] currently holds
+    in [sys]; 0 for pagers not made by this module.  Used by tests. *)
 
-val release : Types.pager -> unit
-(** [release p] drops [p]'s swap store and credits its chunks back to
+val release : Vm_sys.t -> Types.pager -> unit
+(** [release sys p] drops [p]'s swap store and credits its chunks back to
     the shared pool.  Keyed by pager id (which decorators preserve), and
     a no-op for pagers not made by this module, so object termination
     calls it unconditionally. *)

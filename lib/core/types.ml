@@ -229,15 +229,10 @@ and vmap = {
   mutable map_ref : int;
   map_low : int;
   map_high : int;
+  mutable map_scan_steps : int;
+      (* nodes examined by range-operation scans of this map; lets tests
+         pin the hint fast path down to O(distance from the hint) *)
 }
-
-let next_obj_id = ref 0
-let next_map_id = ref 0
-let next_pager_id = ref 0
-
-let fresh_obj_id () = incr next_obj_id; !next_obj_id
-let fresh_map_id () = incr next_map_id; !next_map_id
-let fresh_pager_id () = incr next_pager_id; !next_pager_id
 
 let fresh_health () = { ph_failures = 0; ph_consecutive = 0; ph_dead = false }
 

@@ -13,15 +13,16 @@ let page_round (sys : Vm_sys.t) size =
 
 (* ---- construction ---------------------------------------------------- *)
 
-let create (_sys : Vm_sys.t) ~pmap ~low ~high =
+let create sys ~pmap ~low ~high =
   {
-    map_id = fresh_map_id ();
+    map_id = Vm_sys.fresh_map_id sys;
     map_entries = Dlist.create ();
     map_hint = None;
     map_pmap = pmap;
     map_ref = 1;
     map_low = low;
     map_high = high;
+    map_scan_steps = 0;
   }
 
 let reference m = m.map_ref <- m.map_ref + 1
@@ -65,10 +66,6 @@ let find m ~va =
   | None -> None
   | Some node -> Some (Dlist.value node)
 
-(* Steps taken by [first_node_beyond] scans; test instrumentation for
-   the hint fast path. *)
-let beyond_steps = ref 0
-
 (* First entry whose end lies beyond [va] (i.e. containing or after).
    Mirrors the [find_node] fast path: when the last-fault hint sits
    at-or-before [va] the scan starts there instead of at the list head,
@@ -77,7 +74,7 @@ let first_node_beyond m ~va =
   let rec loop = function
     | None -> None
     | Some node ->
-      incr beyond_steps;
+      m.map_scan_steps <- m.map_scan_steps + 1;
       if (Dlist.value node).e_end > va then Some node
       else loop (Dlist.next node)
   in

@@ -1,9 +1,9 @@
 open Types
 open Mach_pmap
 
-let make_obj ~size ~pager ~temporary ~can_persist =
+let make_obj sys ~size ~pager ~temporary ~can_persist =
   {
-    obj_id = fresh_obj_id ();
+    obj_id = Vm_sys.fresh_obj_id sys;
     obj_size = size;
     obj_ref = 1;
     obj_pages = Mach_util.Dlist.create ();
@@ -77,8 +77,8 @@ let lock_write (sys : Vm_sys.t) o f =
       o.obj_lock_free <- Vm_sys.now sys)
     f
 
-let create_anonymous (_sys : Vm_sys.t) ~size =
-  make_obj ~size ~pager:None ~temporary:true ~can_persist:false
+let create_anonymous sys ~size =
+  make_obj sys ~size ~pager:None ~temporary:true ~can_persist:false
 
 let lookup_resident (sys : Vm_sys.t) o ~offset =
   Resident.lookup sys.Vm_sys.resident ~obj:o ~offset
@@ -123,10 +123,10 @@ let rec terminate sys o =
   (match o.obj_pager with
    | Some pager ->
      Hashtbl.remove sys.Vm_sys.pager_objects pager.pgr_id;
-     Swap_pager.release pager
+     Swap_pager.release sys pager
    | None -> ());
   (match o.obj_rescue with
-   | Some rescue -> Swap_pager.release rescue
+   | Some rescue -> Swap_pager.release sys rescue
    | None -> ());
   match o.obj_shadow with
   | None -> ()
@@ -189,7 +189,7 @@ let create_with_pager sys pager ~size =
     sys.Vm_sys.stats.Vm_sys.cache_misses <-
       sys.Vm_sys.stats.Vm_sys.cache_misses + 1;
     let o =
-      make_obj ~size ~pager:(Some pager) ~temporary:false ~can_persist:true
+      make_obj sys ~size ~pager:(Some pager) ~temporary:false ~can_persist:true
     in
     Hashtbl.add sys.Vm_sys.pager_objects pager.pgr_id o;
     o
@@ -207,7 +207,7 @@ let shadow sys o ~offset ~size =
      an exclusive section on [o]. *)
   lock_write sys o (fun () ->
       let s =
-        make_obj ~size ~pager:None ~temporary:true ~can_persist:false
+        make_obj sys ~size ~pager:None ~temporary:true ~can_persist:false
       in
       s.obj_shadow <- Some o; (* consumes the caller's reference to [o] *)
       s.obj_shadow_offset <- offset;

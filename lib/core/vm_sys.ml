@@ -75,6 +75,8 @@ type t = {
       (* bytes of backing store the swap pool may commit; [None] is
          unbounded (the pre-pressure behaviour) *)
   mutable swap_used : int;     (* bytes currently committed to swap *)
+  swap_stores : (int, (int, Bytes.t) Hashtbl.t) Hashtbl.t;
+      (* pager id -> that swap pager's page-size chunks by offset *)
   mutable mem_pressure : bool;
       (* set when pageout cannot make progress (swap full, or a page
          exceeded the requeue limit); cleared when a pageout write
@@ -105,6 +107,10 @@ type t = {
          the touch counts as a prefetch hit even though it never
          faults *)
   stats : stats;
+  mutable last_obj_id : int;   (* the last id handed out; ids start at 1 *)
+  mutable last_map_id : int;
+  mutable last_pager_id : int;
+  mutable last_task_id : int;
 }
 
 exception Out_of_memory
@@ -149,6 +155,11 @@ let fresh_stats () =
    Pure bookkeeping: none of this charges cycles. *)
 
 let frames t = Resident.multiple t.resident
+
+let fresh_obj_id t = t.last_obj_id <- t.last_obj_id + 1; t.last_obj_id
+let fresh_map_id t = t.last_map_id <- t.last_map_id + 1; t.last_map_id
+let fresh_pager_id t = t.last_pager_id <- t.last_pager_id + 1; t.last_pager_id
+let fresh_task_id t = t.last_task_id <- t.last_task_id + 1; t.last_task_id
 
 let burst_register t p = Hashtbl.replace t.burst_pending p.Types.pfn p
 
@@ -195,6 +206,7 @@ let create ~machine ~domain ~page_multiple ?(object_cache_limit = 64) () =
     free_reserved = max 2 (total / 64);
     swap_capacity = None;
     swap_used = 0;
+    swap_stores = Hashtbl.create 16;
     mem_pressure = false;
     oom_candidates = [];
     oom_exempt_map = None;
@@ -206,6 +218,10 @@ let create ~machine ~domain ~page_multiple ?(object_cache_limit = 64) () =
     burst_max = 8;
     burst_pending = Hashtbl.create 64;
     stats = fresh_stats ();
+    last_obj_id = 0;
+    last_map_id = 0;
+    last_pager_id = 0;
+    last_task_id = 0;
   } in
   Pmap_domain.set_on_first_touch domain (fun ~pfn -> note_first_touch t ~pfn);
   (* Simulation services for the page allocator: virtual time, queue-lock

@@ -117,6 +117,9 @@ type t = {
   mutable swap_capacity : int option;
       (** bytes the swap pool may commit; [None] is unbounded *)
   mutable swap_used : int;         (** bytes currently committed to swap *)
+  swap_stores : (int, (int, Bytes.t) Hashtbl.t) Hashtbl.t;
+      (** each live {!Swap_pager}'s page-size chunks by offset, keyed by
+          pager id *)
   mutable mem_pressure : bool;
       (** pageout cannot make progress (swap full, or a dirty page
           exceeded the requeue limit); cleared when a pageout write
@@ -153,6 +156,12 @@ type t = {
           touch has not happened yet; resolved by the pmap layer's
           first-touch hook, installed by {!create} *)
   stats : stats;
+  mutable last_obj_id : int;
+      (** the last object id handed out; the obj/map/pager/task id
+          sequences each start at 1 in every kernel *)
+  mutable last_map_id : int;
+  mutable last_pager_id : int;
+  mutable last_task_id : int;
 }
 
 exception Out_of_memory
@@ -188,6 +197,12 @@ val frames : t -> int
 (** Hardware frames per machine-independent page (the boot-time
     [Resident.multiple]): the [~frames] of every page-level
     {!Mach_pmap.Pmap_domain} operation. *)
+
+val fresh_obj_id : t -> int
+val fresh_map_id : t -> int
+val fresh_pager_id : t -> int
+val fresh_task_id : t -> int
+(** The next id of each kind in this kernel: 1, 2, ... *)
 
 val grab_page : ?reserve:bool -> t -> Types.page
 (** [grab_page t] allocates a free page, invoking the pageout hook if the

@@ -1,7 +1,10 @@
 open Mach_hw
 open Mach_core
 
-type port = { p_id : int; p_name : string; p_queue : message Queue.t }
+type kobject = ..
+type kobject += No_kobject
+
+type port = { p_name : string; p_queue : message Queue.t; p_kobject : kobject }
 
 and item =
   | Inline of Bytes.t
@@ -15,13 +18,12 @@ and message = {
   msg_reply_to : port option;
 }
 
-let next_port_id = ref 0
-
-let create_port ?(name = "port") () =
-  incr next_port_id;
-  { p_id = !next_port_id; p_name = name; p_queue = Queue.create () }
+let create_port ?(name = "port") ?(kobject = No_kobject) () =
+  { p_name = name; p_queue = Queue.create (); p_kobject = kobject }
 
 let port_name p = p.p_name
+
+let kobject p = p.p_kobject
 
 let pending p = Queue.length p.p_queue
 

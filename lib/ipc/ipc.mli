@@ -16,6 +16,13 @@
 type port
 (** A kernel message queue. *)
 
+type kobject = ..
+(** The kernel object a port represents ([ip_kobject] in Mach): the
+    kernel's servers add their own constructors, so a port names its
+    task or thread directly and no table maps ports back to objects. *)
+
+type kobject += No_kobject  (** a plain message queue *)
+
 type item =
   | Inline of Bytes.t
       (** data copied into and out of the message *)
@@ -31,10 +38,13 @@ type message = {
   msg_reply_to : port option;
 }
 
-val create_port : ?name:string -> unit -> port
-(** [create_port ()] is a fresh empty port. *)
+val create_port : ?name:string -> ?kobject:kobject -> unit -> port
+(** [create_port ()] is a fresh empty port, representing [kobject]
+    (default {!No_kobject}). *)
 
 val port_name : port -> string
+
+val kobject : port -> kobject
 
 val pending : port -> int
 (** Messages queued and not yet received. *)

@@ -52,50 +52,53 @@ let kr_of_reply (m : Ipc.message) =
   | code :: _ -> kr_of_code code
   | [] -> Error Kr.Invalid_argument
 
-(* ---- task ports --------------------------------------------------------- *)
+(* ---- task and thread ports ---------------------------------------------- *)
 
-(* Port for each task, and the task for each port id. *)
-let ports : (int, Ipc.port) Hashtbl.t = Hashtbl.create 32
-let owners : (string, Task.t) Hashtbl.t = Hashtbl.create 32
+(* One kernel's message server.  Each port it hands out names its task
+   or thread and this server, so the port resolves in this kernel only. *)
+type t = {
+  kernel : Kernel.t;
+  task_ports : (int, Ipc.port) Hashtbl.t;   (* task id -> its port *)
+  mutable thread_ports : (Kthread.t * Ipc.port) list;
+      (* by thread identity: thread ids are numbered per scheduler *)
+}
 
-let task_port (_sys : Vm_sys.t) task =
-  match Hashtbl.find_opt ports task.Task.task_id with
+type Ipc.kobject +=
+  | Task_object of t * Task.t
+  | Thread_object of t * Kthread.t
+
+let create kernel = { kernel; task_ports = Hashtbl.create 32; thread_ports = [] }
+
+let task_port srv task =
+  match Hashtbl.find_opt srv.task_ports task.Task.task_id with
   | Some p -> p
   | None ->
-    let name = Printf.sprintf "task-%d" task.Task.task_id in
-    let p = Ipc.create_port ~name () in
-    Hashtbl.add ports task.Task.task_id p;
-    Hashtbl.add owners name task;
+    let p =
+      Ipc.create_port ~name:(Printf.sprintf "task-%d" task.Task.task_id)
+        ~kobject:(Task_object (srv, task)) ()
+    in
+    Hashtbl.add srv.task_ports task.Task.task_id p;
     p
 
-(* Kernel handles are needed for fork/terminate arriving as messages;
-   remember which kernel owns each task. *)
-let kernels : (int, Kernel.t) Hashtbl.t = Hashtbl.create 16
+let task_create srv ?name () =
+  task_port srv (Kernel.create_task srv.kernel ?name ())
 
-let task_create kernel ?name () =
-  let task = Kernel.create_task kernel ?name () in
-  Hashtbl.replace kernels task.Task.task_id kernel;
-  task_port (Kernel.sys kernel) task
-
-let task_of_port p =
-  match Hashtbl.find_opt owners (Ipc.port_name p) with
-  | Some t -> t
-  | None -> invalid_arg "Syscall_server: not a task port"
-
-(* ---- thread ports --------------------------------------------------------- *)
-
-let thread_ports : (int, Ipc.port) Hashtbl.t = Hashtbl.create 16
-let thread_owners : (string, Kthread.t) Hashtbl.t = Hashtbl.create 16
-
-let thread_port th =
-  match Hashtbl.find_opt thread_ports (Kthread.id th) with
+let thread_port srv th =
+  match List.assq_opt th srv.thread_ports with
   | Some p -> p
   | None ->
-    let name = Printf.sprintf "thread-%d" (Kthread.id th) in
-    let p = Ipc.create_port ~name () in
-    Hashtbl.add thread_ports (Kthread.id th) p;
-    Hashtbl.add thread_owners name th;
+    let p =
+      Ipc.create_port ~name:(Printf.sprintf "thread-%d" (Kthread.id th))
+        ~kobject:(Thread_object (srv, th)) ()
+    in
+    srv.thread_ports <- (th, p) :: srv.thread_ports;
     p
+
+(* ---- the server --------------------------------------------------------- *)
+
+let reply_simple tag r = Ipc.message (tag ^ "_reply") ~ints:[ kr_code r ]
+
+let invalid tag = reply_simple tag (Error Kr.Invalid_argument)
 
 let serve_thread th (m : Ipc.message) =
   match m.Ipc.msg_tag with
@@ -105,14 +108,10 @@ let serve_thread th (m : Ipc.message) =
   | "thread_resume" ->
     Kthread.resume th;
     Ipc.message "thread_resume_reply" ~ints:[ 0 ]
-  | tag ->
-    Ipc.message (tag ^ "_reply") ~ints:[ kr_code (Error Kr.Invalid_argument) ]
+  | tag -> invalid tag
 
-(* ---- the server --------------------------------------------------------- *)
-
-let reply_simple tag r = Ipc.message (tag ^ "_reply") ~ints:[ kr_code r ]
-
-let serve sys task (m : Ipc.message) =
+let serve srv task (m : Ipc.message) =
+  let sys = Kernel.sys srv.kernel in
   match m.Ipc.msg_tag, m.Ipc.msg_ints with
   | "vm_allocate", [ size; anywhere; hint ] ->
     (match
@@ -143,7 +142,7 @@ let serve sys task (m : Ipc.message) =
     (match m.Ipc.msg_items with
      | [ Ipc.Inline data ] ->
        reply_simple "vm_write" (Vm_user.write sys task ~addr ~data)
-     | _ -> Ipc.message "vm_write_reply" ~ints:[ kr_code (Error Kr.Invalid_argument) ])
+     | _ -> invalid "vm_write")
   | "vm_regions", [] ->
     let rows =
       List.concat_map
@@ -169,40 +168,29 @@ let serve sys task (m : Ipc.message) =
                 "pager_reads"; "pageouts"; "pager_retries"; "pager_deaths";
                 "rescued_pages"; "pageout_failures"; "memory_errors" ])
   | "task_fork", [] ->
-    (match Hashtbl.find_opt kernels task.Task.task_id with
-     | Some kernel ->
-       let cpu = Mach_pmap.Pmap_domain.current_cpu kernel.Kernel.domain in
-       let child = Kernel.fork_task kernel ~cpu task in
-       Hashtbl.replace kernels child.Task.task_id kernel;
-       Ipc.message "task_fork_reply" ~ints:[ 0 ]
-         ~items:[ Ipc.Port_right (task_port sys child) ]
-     | None ->
-       Ipc.message "task_fork_reply"
-         ~ints:[ kr_code (Error Kr.Invalid_argument) ])
+    let cpu = Vm_sys.current_cpu sys in
+    let child = Kernel.fork_task srv.kernel ~cpu task in
+    Ipc.message "task_fork_reply" ~ints:[ 0 ]
+      ~items:[ Ipc.Port_right (task_port srv child) ]
   | "task_terminate", [] ->
-    (match Hashtbl.find_opt kernels task.Task.task_id with
-     | Some kernel ->
-       let cpu = Mach_pmap.Pmap_domain.current_cpu kernel.Kernel.domain in
-       Kernel.terminate_task kernel ~cpu task;
-       Ipc.message "task_terminate_reply" ~ints:[ 0 ]
-     | None ->
-       Ipc.message "task_terminate_reply"
-         ~ints:[ kr_code (Error Kr.Invalid_argument) ])
-  | tag, _ ->
-    Ipc.message (tag ^ "_reply")
-      ~ints:[ kr_code (Error Kr.Invalid_argument) ]
+    Kernel.terminate_task srv.kernel ~cpu:(Vm_sys.current_cpu sys) task;
+    reply_simple "task_terminate" (Ok ())
+  | tag, _ -> invalid tag
 
-let call sys port request =
+let call srv port request =
+  let sys = Kernel.sys srv.kernel in
   let reply_port = Ipc.create_port ~name:"reply" () in
   Ipc.send sys port { request with Ipc.msg_reply_to = Some reply_port };
   (* The kernel task services the queue, dispatching on what kind of
-     object the port represents. *)
+     object the port represents; a port another kernel made names
+     nothing here. *)
   (match Ipc.receive sys port with
    | Some m ->
      let reply =
-       match Hashtbl.find_opt thread_owners (Ipc.port_name port) with
-       | Some th -> serve_thread th m
-       | None -> serve sys (task_of_port port) m
+       match Ipc.kobject port with
+       | Thread_object (s, th) when s == srv -> serve_thread th m
+       | Task_object (s, task) when s == srv -> serve srv task m
+       | _ -> invalid m.Ipc.msg_tag
      in
      (match m.Ipc.msg_reply_to with
       | Some rp -> Ipc.send sys rp reply

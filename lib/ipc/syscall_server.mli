@@ -28,25 +28,34 @@
     [prot_bits]: bit 0 read, bit 1 write, bit 2 execute.
     [inherit_code]: 0 shared, 1 copy, 2 none. *)
 
-val task_create :
-  Mach_core.Kernel.t -> ?name:string -> unit -> Ipc.port
-(** [task_create kernel ()] creates a task and returns its port — the
+type t
+(** One kernel's message server: it owns the ports it hands out, and
+    each port resolves only in the server that made it. *)
+
+val create : Mach_core.Kernel.t -> t
+(** [create kernel] is a message server for [kernel]'s tasks and
+    threads. *)
+
+val task_create : t -> ?name:string -> unit -> Ipc.port
+(** [task_create srv ()] creates a task and returns its port — the
     message-world equivalent of {!Mach_core.Kernel.create_task}. *)
 
-val task_port : Mach_core.Vm_sys.t -> Mach_core.Task.t -> Ipc.port
-(** [task_port sys task] is the port representing [task] (memoized; this
-    is what task_create would hand back). *)
+val task_port : t -> Mach_core.Task.t -> Ipc.port
+(** [task_port srv task] is the port representing [task], a task of
+    [srv]'s kernel (memoized; this is what task_create would hand
+    back). *)
 
-val thread_port : Mach_core.Kthread.t -> Ipc.port
-(** [thread_port th] is the port representing [th]; "a thread can suspend
+val thread_port : t -> Mach_core.Kthread.t -> Ipc.port
+(** [thread_port srv th] is the port representing [th]; "a thread can suspend
     another thread by sending a suspend message to that thread's thread
     port even if the requesting thread is on another node".  Understands
     [thread_suspend] and [thread_resume] (empty ints; reply [kr]). *)
 
-val call : Mach_core.Vm_sys.t -> Ipc.port -> Ipc.message -> Ipc.message
-(** [call sys port request] performs one kernel operation by message:
-    enqueues [request] on the task port, services it, and returns the
-    reply.  Unknown tags answer with [KERN_INVALID_ARGUMENT]. *)
+val call : t -> Ipc.port -> Ipc.message -> Ipc.message
+(** [call srv port request] performs one kernel operation by message:
+    enqueues [request] on the task or thread port, services it, and
+    returns the reply.  Unknown tags, and ports [srv] did not make,
+    answer with [KERN_INVALID_ARGUMENT]. *)
 
 val kr_of_reply : Ipc.message -> (unit, Mach_core.Kr.t) result
 (** Decode the leading kern_return code of a reply. *)

@@ -28,7 +28,7 @@ val import :
 (** [import link ~node sys server ~name] is a pager usable by the kernel
     on machine [node] that serves [name] from the remote server.  Raises
     [Not_found] if the file does not exist remotely.  Pagers are memoized
-    per (client node, server, name). *)
+    per (client node, name) in the server. *)
 
 val map_remote :
   Netlink.t -> node:int -> Mach_core.Vm_sys.t -> Mach_core.Task.t ->

@@ -4,8 +4,6 @@ open Types
 
 type handler = Ipc.message -> Ipc.message option
 
-let counters : (int, int ref) Hashtbl.t = Hashtbl.create 16
-
 (* Run the pager task on its queued messages until one reply lands on
    [reply_port].  [None] is the no-reply case — the pager dropped the
    request or span its queue past the kernel's deadline — which the
@@ -34,11 +32,9 @@ let dispatch_until_reply sys ~object_port ~reply_port ~handler =
   loop ()
 
 let make sys ~name ?(should_cache = false) ~handler () =
-  let id = fresh_pager_id () in
+  let id = Vm_sys.fresh_pager_id sys in
   let object_port = Ipc.create_port ~name:(name ^ ".paging_object") () in
   let reply_port = Ipc.create_port ~name:(name ^ ".paging_object_request") () in
-  let served = ref 0 in
-  Hashtbl.add counters id served;
   let request ~offset ~length =
     Ipc.send sys object_port
       (Ipc.message "pager_data_request" ~ints:[ offset; length ]
@@ -52,7 +48,6 @@ let make sys ~name ?(should_cache = false) ~handler () =
           (Mach_obs.Obs.Pager_timeout { offset; attempts = 1 });
       Data_error
     | Some reply ->
-      incr served;
       (match reply.Ipc.msg_tag, reply.Ipc.msg_items with
        | "pager_data_provided", Ipc.Inline data :: _ -> Data_provided data
        | "pager_data_unavailable", _ -> Data_unavailable
@@ -95,44 +90,31 @@ let make sys ~name ?(should_cache = false) ~handler () =
     pgr_should_cache = ref should_cache;
   }
 
-let trivial_store sys ~name () =
-  let store : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
-  let initialized = ref false in
-  let handler (m : Ipc.message) =
-    match m.Ipc.msg_tag, m.Ipc.msg_ints with
-    | "pager_init", _ ->
-      initialized := true;
-      None
-    | "pager_data_request", offset :: length :: _ ->
-      (match Hashtbl.find_opt store offset with
-       | Some data ->
-         Some
-           (Ipc.message "pager_data_provided" ~ints:[ offset ]
-              ~items:[ Ipc.Inline (Bytes.sub data 0 (min length (Bytes.length data))) ])
-       | None ->
-         Some (Ipc.message "pager_data_unavailable" ~ints:[ offset; length ]))
-    | "pager_data_write", offset :: _ ->
-      (match m.Ipc.msg_items with
-       | Ipc.Inline data :: _ ->
-         (* Clustered pageouts hand over several pages in one message;
-            store page-size chunks so later per-page requests find
-            their piece (the range contract on [pgr_write]). *)
-         let ps = sys.Vm_sys.page_size in
-         let len = Bytes.length data in
-         let pos = ref 0 in
-         while !pos < len do
-           let take = min ps (len - !pos) in
-           Hashtbl.replace store (offset + !pos) (Bytes.sub data !pos take);
-           pos := !pos + take
-         done
-       | _ -> ());
-      None
-    | tag, _ -> failwith ("trivial_store: unexpected message " ^ tag)
-  in
-  ignore initialized;
-  (make sys ~name ~handler (), store)
-
-let requests_served (p : pager) =
-  match Hashtbl.find_opt counters p.pgr_id with
-  | Some r -> !r
-  | None -> 0
+let trivial_handler sys store (m : Ipc.message) =
+  match m.Ipc.msg_tag, m.Ipc.msg_ints with
+  | "pager_init", _ -> None
+  | "pager_data_request", offset :: length :: _ ->
+    (match Hashtbl.find_opt store offset with
+     | Some data ->
+       Some
+         (Ipc.message "pager_data_provided" ~ints:[ offset ]
+            ~items:[ Ipc.Inline (Bytes.sub data 0 (min length (Bytes.length data))) ])
+     | None ->
+       Some (Ipc.message "pager_data_unavailable" ~ints:[ offset; length ]))
+  | "pager_data_write", offset :: _ ->
+    (match m.Ipc.msg_items with
+     | Ipc.Inline data :: _ ->
+       (* Clustered pageouts hand over several pages in one message;
+          store page-size chunks so later per-page requests find their
+          piece (the range contract on [pgr_write]). *)
+       let ps = sys.Vm_sys.page_size in
+       let len = Bytes.length data in
+       let pos = ref 0 in
+       while !pos < len do
+         let take = min ps (len - !pos) in
+         Hashtbl.replace store (offset + !pos) (Bytes.sub data !pos take);
+         pos := !pos + take
+       done
+     | _ -> ());
+    None
+  | tag, _ -> failwith ("trivial_handler: unexpected message " ^ tag)

@@ -10,7 +10,7 @@
 
     "Simple pagers can be implemented by largely ignoring the more
     sophisticated interface calls and implementing a trivial read/write
-    object mechanism" — {!trivial_store} is exactly that, and doubles as
+    object mechanism" — {!trivial_handler} is exactly that, and doubles as
     the example external pager. *)
 
 type handler = Mach_ipc.Ipc.message -> Mach_ipc.Ipc.message option
@@ -25,14 +25,8 @@ val make :
     page faults on objects managed by it become [pager_data_request]
     messages; pageouts become [pager_data_write] messages. *)
 
-val trivial_store :
-  Mach_core.Vm_sys.t -> name:string -> unit ->
-  Mach_core.Types.pager * (int, Bytes.t) Hashtbl.t
-(** [trivial_store sys ~name ()] is a complete external pager backed by an
-    offset-indexed table (returned alongside, so tests and examples can
-    pre-load or inspect it).  Unknown offsets answer
-    [pager_data_unavailable]. *)
-
-val requests_served : Mach_core.Types.pager -> int
-(** How many [pager_data_request] messages this external pager has
-    answered; 0 for pagers not made by this module. *)
+val trivial_handler : Mach_core.Vm_sys.t -> (int, Bytes.t) Hashtbl.t -> handler
+(** [trivial_handler sys store] serves a complete external pager from an
+    offset-indexed table that the caller owns (so tests and examples can
+    pre-load or inspect it, or wrap the handler to watch its traffic).
+    Unknown offsets answer [pager_data_unavailable]. *)

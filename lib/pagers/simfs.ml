@@ -1,22 +1,19 @@
 type inode = { mutable blocks : int array; mutable size : int }
 
 type t = {
-  id : int;
   disk : Simdisk.t;
   table : (string, inode) Hashtbl.t;
   mutable next_block : int;
+  pagers : (string, Mach_core.Types.pager) Hashtbl.t;
 }
 
-let next_fs_id = ref 0
-
 let create machine ?(block_size = 4096) ?(queues = 1) () =
-  incr next_fs_id;
-  { id = !next_fs_id;
-    disk = Simdisk.create ~queues machine ~block_size;
+  { disk = Simdisk.create ~queues machine ~block_size;
     table = Hashtbl.create 64;
-    next_block = 0 }
+    next_block = 0;
+    pagers = Hashtbl.create 64 }
 
-let fs_id t = t.id
+let pagers t = t.pagers
 
 let disk t = t.disk
 

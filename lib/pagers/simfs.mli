@@ -15,8 +15,10 @@ val create : Mach_hw.Machine.t -> ?block_size:int -> ?queues:int -> unit -> t
 (** [create machine ()] is an empty file system (default 4 KB blocks,
     one disk service queue; see {!Simdisk.create} for [?queues]). *)
 
-val fs_id : t -> int
-(** Unique id, used to key pager memoization. *)
+val pagers : t -> (string, Mach_core.Types.pager) Hashtbl.t
+(** The vnode pager of each file that has had one, by name: the memo
+    {!Vnode_pager.for_file} keeps, so it lives and dies with the file
+    system. *)
 
 val disk : t -> Simdisk.t
 

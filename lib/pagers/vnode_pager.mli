@@ -6,7 +6,7 @@
     I/O) and [pager_data_write] by writing them back; reads beyond end of
     file answer [Data_unavailable] (zero fill).
 
-    Pagers are memoized per (file system, name) so every mapping of the
+    Pagers are memoized per file in its {!Simfs.t}, so every mapping of the
     same file reaches the {e same} memory object — which is what makes the
     object cache effective for shared program text. *)
 

@@ -178,19 +178,20 @@ let test_receive_region_without_ool_fails () =
 
 (* ---- the kernel as a message server (Table 2-1 over ports) --------------- *)
 
-let call_ok sys port msg =
-  let reply = Syscall_server.call sys port msg in
+let call_ok srv port msg =
+  let reply = Syscall_server.call srv port msg in
   (match Syscall_server.kr_of_reply reply with
    | Ok () -> ()
    | Error e -> Alcotest.fail (Kr.to_string e));
   reply
 
 let test_msg_vm_allocate_and_touch () =
-  let machine, kernel, sys = boot () in
+  let machine, kernel, _ = boot () in
   let task = new_task kernel ~cpu:0 in
-  let port = Syscall_server.task_port sys task in
+  let srv = Syscall_server.create kernel in
+  let port = Syscall_server.task_port srv task in
   let reply =
-    call_ok sys port
+    call_ok srv port
       (Ipc.message "vm_allocate" ~ints:[ 16 * kb; 1; 0 ])
   in
   let addr = List.nth reply.Ipc.msg_ints 1 in
@@ -199,19 +200,20 @@ let test_msg_vm_allocate_and_touch () =
     (Bytes.to_string (Machine.read machine ~cpu:0 ~va:addr ~len:12))
 
 let test_msg_read_write_roundtrip () =
-  let _, kernel, sys = boot () in
+  let _, kernel, _ = boot () in
   let task = new_task kernel ~cpu:0 in
-  let port = Syscall_server.task_port sys task in
+  let srv = Syscall_server.create kernel in
+  let port = Syscall_server.task_port srv task in
   let reply =
-    call_ok sys port (Ipc.message "vm_allocate" ~ints:[ 8 * kb; 1; 0 ])
+    call_ok srv port (Ipc.message "vm_allocate" ~ints:[ 8 * kb; 1; 0 ])
   in
   let addr = List.nth reply.Ipc.msg_ints 1 in
   ignore
-    (call_ok sys port
+    (call_ok srv port
        (Ipc.message "vm_write" ~ints:[ addr ]
           ~items:[ Ipc.Inline (Bytes.of_string "remote write") ]));
   let reply =
-    call_ok sys port (Ipc.message "vm_read" ~ints:[ addr; 12 ])
+    call_ok srv port (Ipc.message "vm_read" ~ints:[ addr; 12 ])
   in
   (match reply.Ipc.msg_items with
    | [ Ipc.Inline b ] ->
@@ -219,17 +221,18 @@ let test_msg_read_write_roundtrip () =
    | _ -> Alcotest.fail "expected inline data")
 
 let test_msg_protect_enforced () =
-  let machine, kernel, sys = boot () in
+  let machine, kernel, _ = boot () in
   let task = new_task kernel ~cpu:0 in
-  let port = Syscall_server.task_port sys task in
+  let srv = Syscall_server.create kernel in
+  let port = Syscall_server.task_port srv task in
   let reply =
-    call_ok sys port (Ipc.message "vm_allocate" ~ints:[ 4 * kb; 1; 0 ])
+    call_ok srv port (Ipc.message "vm_allocate" ~ints:[ 4 * kb; 1; 0 ])
   in
   let addr = List.nth reply.Ipc.msg_ints 1 in
   Machine.write_byte machine ~cpu:0 ~va:addr 'x';
   let ro = Syscall_server.prot_bits Mach_hw.Prot.read_only in
   ignore
-    (call_ok sys port
+    (call_ok srv port
        (Ipc.message "vm_protect" ~ints:[ addr; 4 * kb; 0; ro ]));
   (try
      Machine.write_byte machine ~cpu:0 ~va:addr 'y';
@@ -237,18 +240,19 @@ let test_msg_protect_enforced () =
    with Machine.Memory_violation _ -> ())
 
 let test_msg_regions_and_statistics () =
-  let _, kernel, sys = boot () in
+  let _, kernel, _ = boot () in
   let task = new_task kernel ~cpu:0 in
-  let port = Syscall_server.task_port sys task in
-  ignore (call_ok sys port (Ipc.message "vm_allocate" ~ints:[ 4 * kb; 1; 0 ]));
-  ignore (call_ok sys port (Ipc.message "vm_allocate" ~ints:[ 8 * kb; 1; 0 ]));
-  let reply = call_ok sys port (Ipc.message "vm_regions") in
+  let srv = Syscall_server.create kernel in
+  let port = Syscall_server.task_port srv task in
+  ignore (call_ok srv port (Ipc.message "vm_allocate" ~ints:[ 4 * kb; 1; 0 ]));
+  ignore (call_ok srv port (Ipc.message "vm_allocate" ~ints:[ 8 * kb; 1; 0 ]));
+  let reply = call_ok srv port (Ipc.message "vm_regions") in
   (match reply.Ipc.msg_ints with
    | _kr :: n :: rest ->
      Alcotest.(check int) "two regions" 2 n;
      Alcotest.(check int) "7 ints per region" (7 * n) (List.length rest)
    | _ -> Alcotest.fail "bad reply");
-  let reply = call_ok sys port (Ipc.message "vm_statistics") in
+  let reply = call_ok srv port (Ipc.message "vm_statistics") in
   Alcotest.(check int) "16 fields" 16 (List.length reply.Ipc.msg_ints);
   (* kr, then 10 paging fields, then the 5 failure counters — all zero on
      a freshly booted kernel with a healthy pager. *)
@@ -261,31 +265,33 @@ let test_msg_regions_and_statistics () =
     "no failures on a healthy kernel" [ 0; 0; 0; 0; 0 ] failure_counters
 
 let test_msg_errors_travel_back () =
-  let _, kernel, sys = boot () in
+  let _, kernel, _ = boot () in
   let task = new_task kernel ~cpu:0 in
-  let port = Syscall_server.task_port sys task in
+  let srv = Syscall_server.create kernel in
+  let port = Syscall_server.task_port srv task in
   let reply =
-    Syscall_server.call sys port
+    Syscall_server.call srv port
       (Ipc.message "vm_protect" ~ints:[ 4096; 4096; 0;
                                         Syscall_server.prot_bits Mach_hw.Prot.all ])
   in
   (* protect on unallocated space succeeds as a no-op in Mach; use a bad
      request instead: unknown operation. *)
   ignore reply;
-  let reply = Syscall_server.call sys port (Ipc.message "vm_frobnicate") in
+  let reply = Syscall_server.call srv port (Ipc.message "vm_frobnicate") in
   (match Syscall_server.kr_of_reply reply with
    | Error Kr.Invalid_argument -> ()
    | Ok () | Error _ -> Alcotest.fail "expected invalid argument")
 
 let test_msg_vm_copy () =
-  let machine, kernel, sys = boot () in
+  let machine, kernel, _ = boot () in
   let task = new_task kernel ~cpu:0 in
-  let port = Syscall_server.task_port sys task in
+  let srv = Syscall_server.create kernel in
+  let port = Syscall_server.task_port srv task in
   let addr_of r = List.nth r.Ipc.msg_ints 1 in
-  let src = addr_of (call_ok sys port (Ipc.message "vm_allocate" ~ints:[ 4 * kb; 1; 0 ])) in
-  let dst = addr_of (call_ok sys port (Ipc.message "vm_allocate" ~ints:[ 4 * kb; 1; 0 ])) in
+  let src = addr_of (call_ok srv port (Ipc.message "vm_allocate" ~ints:[ 4 * kb; 1; 0 ])) in
+  let dst = addr_of (call_ok srv port (Ipc.message "vm_allocate" ~ints:[ 4 * kb; 1; 0 ])) in
   Machine.write machine ~cpu:0 ~va:src (Bytes.of_string "payload");
-  ignore (call_ok sys port (Ipc.message "vm_copy" ~ints:[ src; dst; 4 * kb ]));
+  ignore (call_ok srv port (Ipc.message "vm_copy" ~ints:[ src; dst; 4 * kb ]));
   Alcotest.(check string) "copied" "payload"
     (Bytes.to_string (Machine.read machine ~cpu:0 ~va:dst ~len:7))
 
@@ -293,25 +299,26 @@ let test_task_lifecycle_by_message () =
   (* "The act of creating a task ... returns access rights to a port
      which represents the new object and can be used to manipulate
      it." *)
-  let machine, kernel, sys = boot () in
-  let port = Syscall_server.task_create kernel ~name:"msg-task" () in
+  let machine, kernel, _ = boot () in
+  let srv = Syscall_server.create kernel in
+  let port = Syscall_server.task_create srv ~name:"msg-task" () in
   let reply =
-    call_ok sys port (Ipc.message "vm_allocate" ~ints:[ 8 * kb; 1; 0 ])
+    call_ok srv port (Ipc.message "vm_allocate" ~ints:[ 8 * kb; 1; 0 ])
   in
   let addr = List.nth reply.Ipc.msg_ints 1 in
   ignore
-    (call_ok sys port
+    (call_ok srv port
        (Ipc.message "vm_write" ~ints:[ addr ]
           ~items:[ Ipc.Inline (Bytes.of_string "inherit me") ]));
   (* Fork by message: the child arrives as a port capability. *)
-  let reply = call_ok sys port (Ipc.message "task_fork") in
+  let reply = call_ok srv port (Ipc.message "task_fork") in
   let child_port =
     match reply.Ipc.msg_items with
     | [ Ipc.Port_right p ] -> p
     | _ -> Alcotest.fail "expected the child's port capability"
   in
   let reply =
-    call_ok sys child_port (Ipc.message "vm_read" ~ints:[ addr; 10 ])
+    call_ok srv child_port (Ipc.message "vm_read" ~ints:[ addr; 10 ])
   in
   (match reply.Ipc.msg_items with
    | [ Ipc.Inline b ] ->
@@ -320,17 +327,68 @@ let test_task_lifecycle_by_message () =
    | _ -> Alcotest.fail "expected data");
   (* Child writes; parent unaffected (all through messages). *)
   ignore
-    (call_ok sys child_port
+    (call_ok srv child_port
        (Ipc.message "vm_write" ~ints:[ addr ]
           ~items:[ Ipc.Inline (Bytes.of_string "child-data") ]));
-  let reply = call_ok sys port (Ipc.message "vm_read" ~ints:[ addr; 10 ]) in
+  let reply = call_ok srv port (Ipc.message "vm_read" ~ints:[ addr; 10 ]) in
   (match reply.Ipc.msg_items with
    | [ Ipc.Inline b ] ->
      Alcotest.(check string) "parent isolated" "inherit me"
        (Bytes.to_string b)
    | _ -> Alcotest.fail "expected data");
-  ignore (call_ok sys child_port (Ipc.message "task_terminate"));
+  ignore (call_ok srv child_port (Ipc.message "task_terminate"));
   ignore machine
+
+(* A task made outside the message world still forks and terminates by
+   message: its port's server knows the kernel the task lives in. *)
+let test_fork_terminate_on_any_task_port () =
+  let _, kernel, _ = boot () in
+  let srv = Syscall_server.create kernel in
+  let task = new_task kernel ~cpu:0 in
+  let port = Syscall_server.task_port srv task in
+  let reply = call_ok srv port (Ipc.message "task_fork") in
+  let child_port =
+    match reply.Ipc.msg_items with
+    | [ Ipc.Port_right p ] -> p
+    | _ -> Alcotest.fail "expected the child's port capability"
+  in
+  ignore (call_ok srv child_port (Ipc.message "task_terminate"));
+  ignore (call_ok srv port (Ipc.message "task_terminate"));
+  Alcotest.(check bool) "terminated" true task.Task.task_dead
+
+(* Two live kernels each create a task.  Both tasks are numbered 1 in
+   their own kernel, yet a port only ever reaches its own kernel's task,
+   and each machine's file system has its own vnode pager. *)
+let test_two_kernels_stay_apart () =
+  let boot_with_fs () =
+    let machine, kernel, sys = boot () in
+    let fs = Mach_pagers.Simfs.create machine () in
+    Mach_pagers.Simfs.install_file fs ~name:"/f" ~data:(Bytes.make 100 'f');
+    (sys, fs, Syscall_server.create kernel)
+  in
+  let sys_a, fs_a, srv_a = boot_with_fs () in
+  let sys_b, fs_b, srv_b = boot_with_fs () in
+  let port_a = Syscall_server.task_create srv_a () in
+  let port_b = Syscall_server.task_create srv_b () in
+  Alcotest.(check string) "same name in both kernels"
+    (Ipc.port_name port_a) (Ipc.port_name port_b);
+  let rejects srv port =
+    match
+      Syscall_server.kr_of_reply
+        (Syscall_server.call srv port (Ipc.message "vm_regions"))
+    with
+    | Error Kr.Invalid_argument -> true
+    | Ok () | Error _ -> false
+  in
+  Alcotest.(check bool) "a's server rejects b's port" true (rejects srv_a port_b);
+  Alcotest.(check bool) "b's server rejects a's port" true (rejects srv_b port_a);
+  ignore (call_ok srv_a port_a (Ipc.message "vm_regions"));
+  ignore (call_ok srv_b port_b (Ipc.message "vm_regions"));
+  let pager sys fs = Mach_pagers.Vnode_pager.for_file sys fs ~name:"/f" in
+  Alcotest.(check bool) "one pager per file system" true
+    (pager sys_a fs_a == pager sys_a fs_a);
+  Alcotest.(check bool) "distinct vnode pagers" false
+    (pager sys_a fs_a == pager sys_b fs_b)
 
 let test_port_capability_in_message () =
   (* A message can carry a capability for another port; the receiver
@@ -393,5 +451,9 @@ let () =
             test_prot_bits_roundtrip;
           Alcotest.test_case "task lifecycle by message" `Quick
             test_task_lifecycle_by_message;
+          Alcotest.test_case "fork/terminate on any task port" `Quick
+            test_fork_terminate_on_any_task_port;
+          Alcotest.test_case "two kernels stay apart" `Quick
+            test_two_kernels_stay_apart;
           Alcotest.test_case "port capability in message" `Quick
             test_port_capability_in_message ] ) ]

@@ -132,7 +132,7 @@ let test_default_pager_attached_once () =
      Alcotest.(check string) "default pager" "default-pager"
        pg.Types.pgr_name;
      Alcotest.(check bool) "holds the page" true
-       (Swap_pager.stored_bytes pg > 0)
+       (Swap_pager.stored_bytes sys pg > 0)
    | None -> Alcotest.fail "expected a default pager")
 
 let test_reclaim_triggered_by_allocation () =
@@ -174,7 +174,7 @@ let test_cached_object_pages_reclaimable () =
   let counting = ref 0 in
   let pager =
     {
-      Types.pgr_id = Types.fresh_pager_id ();
+      Types.pgr_id = Vm_sys.fresh_pager_id sys;
       pgr_name = "refill";
       pgr_request =
         (fun ~offset:_ ~length ->

@@ -202,7 +202,13 @@ let test_map_missing_file () =
 let test_external_pager_protocol () =
   let machine, kernel, sys, _fs = boot () in
   let ps = Kernel.page_size kernel in
-  let pager, store = Port_pager.trivial_store sys ~name:"xp" () in
+  let store = Hashtbl.create 16 in
+  let requests = ref 0 in
+  let handler (m : Mach_ipc.Ipc.message) =
+    if m.Mach_ipc.Ipc.msg_tag = "pager_data_request" then incr requests;
+    Port_pager.trivial_handler sys store m
+  in
+  let pager = Port_pager.make sys ~name:"xp" ~handler () in
   Hashtbl.replace store 0 (Bytes.of_string "external data");
   let t = new_task kernel ~cpu:0 in
   let a =
@@ -212,16 +218,19 @@ let test_external_pager_protocol () =
   in
   Alcotest.(check string) "served" "external data"
     (Bytes.to_string (Machine.read machine ~cpu:0 ~va:a ~len:13));
-  Alcotest.(check int) "one request" 1 (Port_pager.requests_served pager);
+  Alcotest.(check int) "one request" 1 !requests;
   (* Missing offsets zero fill. *)
   Alcotest.(check char) "zero" '\000'
     (Machine.read_byte machine ~cpu:0 ~va:(a + ps));
-  Alcotest.(check int) "two requests" 2 (Port_pager.requests_served pager)
+  Alcotest.(check int) "two requests" 2 !requests
 
 let test_external_pager_writeback () =
   let machine, kernel, sys, _fs = boot () in
   let ps = Kernel.page_size kernel in
-  let pager, store = Port_pager.trivial_store sys ~name:"wb" () in
+  let store = Hashtbl.create 16 in
+  let pager =
+    Port_pager.make sys ~name:"wb" ~handler:(Port_pager.trivial_handler sys store) ()
+  in
   let t = new_task kernel ~cpu:0 in
   let a =
     ok

@@ -210,9 +210,10 @@ let test_no_space_over_ipc () =
   let task = Kernel.create_task kernel ~name:"wire" () in
   Kernel.run_task kernel ~cpu:0 task;
   let ps = sys.Vm_sys.page_size in
-  let port = Mach_ipc.Syscall_server.task_port sys task in
+  let srv = Mach_ipc.Syscall_server.create kernel in
+  let port = Mach_ipc.Syscall_server.task_port srv task in
   let reply =
-    Mach_ipc.Syscall_server.call sys port
+    Mach_ipc.Syscall_server.call srv port
       (Mach_ipc.Ipc.message "vm_allocate" ~ints:[ 4 * ps; 1; 0 ])
   in
   let a =
@@ -221,7 +222,7 @@ let test_no_space_over_ipc () =
     | _ -> Alcotest.fail "vm_allocate over IPC failed"
   in
   let reply =
-    Mach_ipc.Syscall_server.call sys port
+    Mach_ipc.Syscall_server.call srv port
       (Mach_ipc.Ipc.message "vm_allocate" ~ints:[ ps; 0; a ])
   in
   (match Mach_ipc.Syscall_server.kr_of_reply reply with

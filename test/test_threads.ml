@@ -86,7 +86,7 @@ let test_round_robin_order () =
     (List.rev !log)
 
 let test_suspend_resume () =
-  let _machine, kernel, _sys = boot () in
+  let _machine, kernel, _ = boot () in
   let task = Kernel.create_task kernel () in
   let sched = Sched.create kernel in
   let progress = ref 0 in
@@ -108,7 +108,7 @@ let test_suspend_resume () =
     (Kthread.status th = Kthread.Terminated)
 
 let test_self_suspension () =
-  let _machine, kernel, _sys = boot () in
+  let _machine, kernel, _ = boot () in
   let task = Kernel.create_task kernel () in
   let sched = Sched.create kernel in
   let th_ref = ref None in
@@ -168,17 +168,18 @@ let test_multiprocessor_parallel_faults () =
 let test_suspend_by_message () =
   (* "A thread can suspend another thread by sending a suspend message
      to that thread's thread port." *)
-  let _machine, kernel, sys = boot () in
+  let _machine, kernel, _ = boot () in
   let task = Kernel.create_task kernel () in
   let sched = Sched.create kernel in
   let progress = ref 0 in
   let victim =
     Sched.spawn sched ~task (List.init 4 (fun _ -> fun ~cpu:_ -> incr progress))
   in
-  let port = Mach_ipc.Syscall_server.thread_port victim in
+  let srv = Mach_ipc.Syscall_server.create kernel in
+  let port = Mach_ipc.Syscall_server.thread_port srv victim in
   ignore (Sched.step sched);
   let reply =
-    Mach_ipc.Syscall_server.call sys port
+    Mach_ipc.Syscall_server.call srv port
       (Mach_ipc.Ipc.message "thread_suspend")
   in
   (match Mach_ipc.Syscall_server.kr_of_reply reply with
@@ -187,7 +188,7 @@ let test_suspend_by_message () =
   Sched.run sched ();
   Alcotest.(check int) "suspended by message" 1 !progress;
   ignore
-    (Mach_ipc.Syscall_server.call sys port
+    (Mach_ipc.Syscall_server.call srv port
        (Mach_ipc.Ipc.message "thread_resume"));
   Sched.run sched ();
   Alcotest.(check int) "resumed by message" 4 !progress

@@ -98,6 +98,39 @@ let test_compile_workload_deterministic () =
   let a = run () and b = run () in
   Alcotest.(check (float 0.0001)) "identical runs" a b
 
+(* A kernel owns everything it creates, so booting, running and dropping
+   the same small Mach workload twice in one process gives the same
+   statistics, simulated time and first object id, and the first kernel
+   is garbage once dropped. *)
+let test_mach_runs_repeat_in_one_process () =
+  let cfg = Compile_workload.fork_test in
+  let dropped = Weak.create 1 in
+  let run () =
+    let arch = Arch.uvax2 in
+    let machine =
+      Machine.create ~arch ~memory_frames:(8 * mb / arch.Arch.hw_page_size) ()
+    in
+    let kernel = Mach_core.Kernel.create ~page_multiple:8 machine in
+    let sys = Mach_core.Kernel.sys kernel in
+    let first = Mach_core.Vm_object.create_anonymous sys ~size:4096 in
+    Mach_core.Vm_object.deallocate sys first;
+    let os = Mach_os.make kernel ~fs:(Mach_pagers.Simfs.create machine ()) in
+    Compile_workload.setup os cfg;
+    ignore (Compile_workload.run os cfg);
+    Weak.set dropped 0 (Some kernel);
+    ( Mach_core.Vm_user.statistics sys,
+      Machine.elapsed_ms machine,
+      first.Mach_core.Types.obj_id )
+  in
+  let stats_a, ms_a, id_a = run () in
+  Gc.full_major ();
+  Alcotest.(check bool) "first kernel collected" false (Weak.check dropped 0);
+  let stats_b, ms_b, id_b = run () in
+  Alcotest.(check (list (pair string int))) "same statistics" stats_a stats_b;
+  Alcotest.(check (float 0.0)) "same elapsed ms" ms_a ms_b;
+  Alcotest.(check int) "first object id" 1 id_a;
+  Alcotest.(check int) "same first object id" id_a id_b
+
 (* The headline inequalities of Tables 7-1/7-2: Mach never slower on
    fork, and compile at least as fast. *)
 let test_mach_fork_beats_eager_unix () =
@@ -164,7 +197,9 @@ let () =
         [ Alcotest.test_case "runs on both" `Quick
             test_compile_workload_runs_on_both;
           Alcotest.test_case "deterministic" `Quick
-            test_compile_workload_deterministic ] );
+            test_compile_workload_deterministic;
+          Alcotest.test_case "repeats in one process" `Quick
+            test_mach_runs_repeat_in_one_process ] );
       ( "traces",
         [ Alcotest.test_case "generation deterministic" `Quick
             test_trace_generation_deterministic;

@@ -80,6 +80,13 @@
 # all 224 cells string-equal to the committed BENCH_vm.json, names,
 # measured values and paper references alike.  The subset runs above stay:
 # they also show that each subset replays independently of the rest.
+#
+# And a kernel owns everything it creates:
+#   - table7_2 run twice in one process must write two halves string-equal
+#     to each other and to the committed table7_2 cells (the bench itself
+#     also fails any experiment that leaves more than 65536 live words);
+#   - no lib/**/*.ml file may bind a top-level `ref` or `Hashtbl.create`,
+#     the process-global state that outlived every kernel before.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -98,7 +105,10 @@ all_cells=$(mktemp /tmp/bench_smoke_all_cells.XXXXXX)
 base_cells=$(mktemp /tmp/bench_smoke_base_cells.XXXXXX)
 folded=$(mktemp /tmp/bench_smoke_folded.XXXXXX)
 vm_stats=$(mktemp /tmp/bench_smoke_vm.XXXXXX.json)
-trap 'rm -f "$out" "$chaos_out" "$cluster_out" "$run_a" "$run_b" "$prof_out" "$prof_stats" "$mp_out" "$pr_out" "$st_out" "$all_out" "$all_cells" "$base_cells" "$folded" "$vm_stats"' EXIT
+twice_out=$(mktemp /tmp/bench_smoke_twice.XXXXXX.json)
+twice_cells=$(mktemp /tmp/bench_smoke_twice_cells.XXXXXX)
+t72_base=$(mktemp /tmp/bench_smoke_t72.XXXXXX)
+trap 'rm -f "$out" "$chaos_out" "$cluster_out" "$run_a" "$run_b" "$prof_out" "$prof_stats" "$mp_out" "$pr_out" "$st_out" "$all_out" "$all_cells" "$base_cells" "$folded" "$vm_stats" "$twice_out" "$twice_cells" "$t72_base"' EXIT
 
 dune exec bench/main.exe -- -e shootdown -json "$out" >/dev/null
 
@@ -747,7 +757,45 @@ if ! cmp -s "$base_cells" "$all_cells"; then
     fail=1
 fi
 
+# ---- one process, many kernels -------------------------------------------
+# Cells one per line without the enclosing {"cells":[ ... ]}, so the same
+# cell reads the same wherever it sits in its file.
+bare_cells() {
+    one_cell_per_line "$1" | sed 's/^{"cells":\[//; s/\]}$//'
+}
+dune exec bench/main.exe -- -e table7_2 -e table7_2 -json "$twice_out" >/dev/null
+bare_cells "$twice_out" >"$twice_cells"
+bare_cells BENCH_vm.json | grep '^{"name":"table7_2/' >"$t72_base" || true
+n_t72=$(wc -l <"$t72_base")
+if [ "$n_t72" -eq 0 ] || [ "$(wc -l <"$twice_cells")" -ne $((2 * n_t72)) ]; then
+    echo "bench-smoke: FAIL table7_2 twice wrote $(wc -l <"$twice_cells") cells, expected 2 x $n_t72" >&2
+    fail=1
+elif ! head -n "$n_t72" "$twice_cells" | cmp -s - "$t72_base" \
+        || ! tail -n "$n_t72" "$twice_cells" | cmp -s - "$t72_base"; then
+    echo "bench-smoke: FAIL table7_2 run twice in one process differs from the committed cells (committed <, now >):" >&2
+    diff "$t72_base" "$twice_cells" | head -20 >&2 || true
+    fail=1
+fi
+
+# No process-global mutable state in lib/: a top-level value bound to a
+# ref or a fresh hash table, on one line or with the right-hand side on
+# the next.
+globals=$(find lib -name '*.ml' | sort | xargs awk '
+    FNR == 1 { pending = 0 }
+    /^let [a-z_][A-Za-z0-9_'"'"']*( *:[^=]*)? *= *(ref[ (]|Hashtbl\.create)/ {
+        print FILENAME ":" FNR ": " $0
+    }
+    pending && /^[ \t]+(ref[ (]|Hashtbl\.create)/ {
+        print FILENAME ":" FNR - 1 ": " prev
+    }
+    { pending = ($0 ~ /^let [a-z_][A-Za-z0-9_'"'"']*( *:[^=]*)? *=[ \t]*$/); prev = $0 }')
+if [ -n "$globals" ]; then
+    echo "bench-smoke: FAIL process-global mutable state in lib/ (a kernel must own it):" >&2
+    echo "$globals" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "bench-smoke: OK (24 shootdown cells at baseline, zero-overhead guards clean, chaos run deterministic with 0 corrupt pages — also under --alloc-cache 8, clustered read-ahead beats UNIX on cold reads and is free at cluster_max=1, async disk overlaps at w>=8 and replays under chaos, profiler conserves every cycle with 0 dropped events, stats and compile JSON carry the vm_statistics object, mpfault scales on private objects and stalls on shared ones with burst=1 free to the digit, per-CPU magazines meet or beat the global queue at 8 CPUs, pressure sweep survives 4x overcommit with deterministic OOM kills, stream slots un-interfere 8 shared-file readers and are free to the digit for one, chaos replays with --streams 8 --free-behind, all 198 pre-stream cells intact, hostprof samples mp_shared and prints its top frames, all 224 cells of a full run equal to BENCH_vm.json)"
+echo "bench-smoke: OK (24 shootdown cells at baseline, zero-overhead guards clean, chaos run deterministic with 0 corrupt pages — also under --alloc-cache 8, clustered read-ahead beats UNIX on cold reads and is free at cluster_max=1, async disk overlaps at w>=8 and replays under chaos, profiler conserves every cycle with 0 dropped events, stats and compile JSON carry the vm_statistics object, mpfault scales on private objects and stalls on shared ones with burst=1 free to the digit, per-CPU magazines meet or beat the global queue at 8 CPUs, pressure sweep survives 4x overcommit with deterministic OOM kills, stream slots un-interfere 8 shared-file readers and are free to the digit for one, chaos replays with --streams 8 --free-behind, all 198 pre-stream cells intact, hostprof samples mp_shared and prints its top frames, all 224 cells of a full run equal to BENCH_vm.json, table7_2 twice in one process equal to them, no process-global state in lib/)"
